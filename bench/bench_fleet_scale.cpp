@@ -1,6 +1,6 @@
 // Fleet-scale event-core benchmark: how many scheduler events per second the
-// simulation core sustains as the fleet grows 1k -> 1M services, per queue
-// backend (timing wheel vs binary heap), serial and sharded.
+// simulation core sustains as the fleet grows 1k -> 1M services, serial and
+// sharded.
 //
 // The workload is the fleet pattern distilled: every service keeps a
 // periodic hour-tick chain alive (schedule-next-inside-the-callback, the
@@ -17,11 +17,11 @@
 // cross-shard coupling the paper's market structure implies: a global
 // "price step" chain every 5 simulated minutes that fans one mailbox
 // message out to every shard (the MarketWatcher batch-post shape). Shard
-// counts sweep 1/2/4/8 per backend; each arm reports the barrier-stall
+// counts sweep 1/2/4/8; each arm reports the barrier-stall
 // fraction (idle window capacity) and per-shard throughput next to the
 // aggregate, so the Amdahl term is visible, not inferred.
 //
-// Output: a human table on stdout plus BENCH_fleet.json (schema 2) in the
+// Output: a human table on stdout plus BENCH_fleet.json (schema 3) in the
 // working directory. events_per_sec counts FIRED events against the
 // wall-clock time of the run loop (setup excluded); rss_mb samples VmRSS
 // while the queue still holds the fleet's pending events, peak_rss_mb is
@@ -146,7 +146,6 @@ double proc_status_mb(const std::string& field) {
 
 struct ArmResult {
   std::string mode;  // "serial" | "sharded"
-  std::string backend;
   std::size_t services = 0;
   std::size_t shards = 0;  // 0 for the serial engine
   std::uint64_t events = 0;
@@ -166,10 +165,9 @@ std::uint32_t ticks_for_budget(std::size_t n, std::uint64_t event_budget) {
       2, event_budget / std::max<std::uint64_t>(1, n + n / 2)));
 }
 
-ArmResult run_serial_arm(sim::QueueBackend backend, std::size_t n,
-                         std::uint64_t event_budget) {
+ArmResult run_serial_arm(std::size_t n, std::uint64_t event_budget) {
   const std::uint32_t ticks_each = ticks_for_budget(n, event_budget);
-  sim::Simulation s(backend);
+  sim::Simulation s;
   SyntheticFleet fleet(n, 1, ticks_each);
   for (std::size_t i = 0; i < n; ++i) fleet.place(i, s, 0);
   const auto t0 = std::chrono::steady_clock::now();
@@ -178,7 +176,6 @@ ArmResult run_serial_arm(sim::QueueBackend backend, std::size_t n,
 
   ArmResult r;
   r.mode = "serial";
-  r.backend = sim::to_string(backend);
   r.services = n;
   r.events = fleet.fired();
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -189,10 +186,10 @@ ArmResult run_serial_arm(sim::QueueBackend backend, std::size_t n,
   return r;
 }
 
-ArmResult run_sharded_arm(sim::QueueBackend backend, std::size_t n,
-                          std::size_t shards, std::uint64_t event_budget) {
+ArmResult run_sharded_arm(std::size_t n, std::size_t shards,
+                          std::uint64_t event_budget) {
   const std::uint32_t ticks_each = ticks_for_budget(n, event_budget);
-  sim::ShardedSimulation eng(shards, backend);
+  sim::ShardedSimulation eng(shards);
   SyntheticFleet fleet(n, shards, ticks_each);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t s = sim::shard_of_key(i, shards);
@@ -222,7 +219,6 @@ ArmResult run_sharded_arm(sim::QueueBackend backend, std::size_t n,
 
   ArmResult r;
   r.mode = "sharded";
-  r.backend = sim::to_string(backend);
   r.services = n;
   r.shards = shards;
   r.events = fleet.fired();
@@ -241,13 +237,13 @@ ArmResult run_sharded_arm(sim::QueueBackend backend, std::size_t n,
 
 void write_json(const std::vector<ArmResult>& arms, const char* path) {
   std::ofstream out(path);
-  out << "{\n  \"schema\": 2,\n  \"bench\": \"fleet_scale\",\n"
+  out << "{\n  \"schema\": 3,\n  \"bench\": \"fleet_scale\",\n"
       << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
       << ",\n  \"arms\": [\n";
   for (std::size_t i = 0; i < arms.size(); ++i) {
     const ArmResult& a = arms[i];
-    out << "    {\"mode\": \"" << a.mode << "\", \"backend\": \"" << a.backend
-        << "\", \"services\": " << a.services << ", \"shards\": " << a.shards
+    out << "    {\"mode\": \"" << a.mode << "\", \"services\": " << a.services
+        << ", \"shards\": " << a.shards
         << ", \"events\": " << a.events << ", \"seconds\": " << a.seconds
         << ", \"events_per_sec\": " << a.events_per_sec
         << ", \"per_shard_events_per_sec\": " << a.per_shard_events_per_sec
@@ -260,10 +256,9 @@ void write_json(const std::vector<ArmResult>& arms, const char* path) {
 }
 
 void print_arm(const ArmResult& r) {
-  std::printf("%-7s %-8s %9zu %6zu %12" PRIu64 " %9.3f %13.0f %8.2f %9.1f\n",
-              r.mode.c_str(), r.backend.c_str(), r.services, r.shards,
-              r.events, r.seconds, r.events_per_sec, r.barrier_stall,
-              r.rss_mb);
+  std::printf("%-7s %9zu %6zu %12" PRIu64 " %9.3f %13.0f %8.2f %9.1f\n",
+              r.mode.c_str(), r.services, r.shards, r.events, r.seconds,
+              r.events_per_sec, r.barrier_stall, r.rss_mb);
 }
 
 }  // namespace
@@ -292,44 +287,29 @@ int main() {
               " fired events/arm, %u hw threads)%s\n",
               budget, std::thread::hardware_concurrency(),
               smoke ? " [smoke]" : "");
-  std::printf("%-7s %-8s %9s %6s %12s %9s %13s %8s %9s\n", "mode", "backend",
-              "services", "shards", "events", "seconds", "events/sec",
-              "stall", "rss MB");
+  std::printf("%-7s %9s %6s %12s %9s %13s %8s %9s\n", "mode", "services",
+              "shards", "events", "seconds", "events/sec", "stall", "rss MB");
 
   std::vector<ArmResult> arms;
   for (const std::size_t n : sizes) {  // ascending: VmHWM stays per-arm honest
-    for (const auto backend :
-         {sim::QueueBackend::kBinaryHeap, sim::QueueBackend::kTimingWheel}) {
-      const ArmResult r = run_serial_arm(backend, n, budget);
-      print_arm(r);
-      arms.push_back(r);
-    }
-    // Same size, both backends just ran: print the wheel/heap ratio.
-    const double heap = arms[arms.size() - 2].events_per_sec;
-    const double wheel = arms.back().events_per_sec;
-    if (heap > 0) {
-      std::printf("%-7s %-8s %9zu %6s wheel/heap = %.2fx\n", "", "", n, "",
-                  wheel / heap);
-    }
+    const ArmResult r = run_serial_arm(n, budget);
+    print_arm(r);
+    arms.push_back(r);
   }
   for (const std::size_t n : shard_sizes) {
-    for (const auto backend :
-         {sim::QueueBackend::kBinaryHeap, sim::QueueBackend::kTimingWheel}) {
-      double base = 0.0;
-      for (const std::size_t shards : shard_counts) {
-        const ArmResult r = run_sharded_arm(backend, n, shards, budget);
-        print_arm(r);
-        if (shards == 1) base = r.events_per_sec;
-        if (shards > 1 && base > 0) {
-          std::printf("%-7s %-8s %9zu %6zu %dx-vs-1-shard = %.2fx\n", "", "",
-                      n, shards, static_cast<int>(shards),
-                      r.events_per_sec / base);
-        }
-        arms.push_back(r);
+    double base = 0.0;
+    for (const std::size_t shards : shard_counts) {
+      const ArmResult r = run_sharded_arm(n, shards, budget);
+      print_arm(r);
+      if (shards == 1) base = r.events_per_sec;
+      if (shards > 1 && base > 0) {
+        std::printf("%-7s %9zu %6zu %dx-vs-1-shard = %.2fx\n", "", n, shards,
+                    static_cast<int>(shards), r.events_per_sec / base);
       }
+      arms.push_back(r);
     }
   }
   write_json(arms, "BENCH_fleet.json");
-  std::printf("wrote BENCH_fleet.json (schema 2, %zu arms)\n", arms.size());
+  std::printf("wrote BENCH_fleet.json (schema 3, %zu arms)\n", arms.size());
   return 0;
 }

@@ -4,49 +4,42 @@
 
 #include <algorithm>
 
+#include "simcore/timing_wheel.hpp"
 #include "spothost.hpp"
 
 namespace {
 
 using namespace spothost;
 
-sim::QueueBackend bench_backend(const benchmark::State& state) {
-  return state.range(0) == 0 ? sim::QueueBackend::kBinaryHeap
-                             : sim::QueueBackend::kTimingWheel;
-}
-
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    auto q = sim::make_event_queue(bench_backend(state));
+    sim::TimingWheelQueue q;
     std::uint64_t rng_state = 42;
     for (std::size_t i = 0; i < n; ++i) {
-      q->schedule(static_cast<sim::SimTime>(sim::splitmix64(rng_state) % 1000000),
-                  [] {});
+      q.schedule(static_cast<sim::SimTime>(sim::splitmix64(rng_state) % 1000000),
+                 [] {});
     }
-    while (!q->empty()) benchmark::DoNotOptimize(q->pop().time);
+    while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-  state.SetLabel(std::string(sim::to_string(bench_backend(state))));
 }
-BENCHMARK(BM_EventQueueScheduleAndPop)
-    ->ArgsProduct({{0, 1}, {1000, 10000, 100000}});
+BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_EventQueueCancellation(benchmark::State& state) {
   const std::size_t n = 10000;
   for (auto _ : state) {
-    auto q = sim::make_event_queue(bench_backend(state));
+    sim::TimingWheelQueue q;
     std::vector<sim::EventId> ids;
     ids.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      ids.push_back(q->schedule(static_cast<sim::SimTime>(i), [] {}));
+      ids.push_back(q.schedule(static_cast<sim::SimTime>(i), [] {}));
     }
-    for (std::size_t i = 0; i < n; i += 2) q->cancel(ids[i]);
-    while (!q->empty()) benchmark::DoNotOptimize(q->pop().time);
+    for (std::size_t i = 0; i < n; i += 2) q.cancel(ids[i]);
+    while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
   }
-  state.SetLabel(std::string(sim::to_string(bench_backend(state))));
 }
-BENCHMARK(BM_EventQueueCancellation)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueCancellation);
 
 void BM_SyntheticTraceMonth(benchmark::State& state) {
   sim::RngFactory factory(7);

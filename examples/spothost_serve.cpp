@@ -31,8 +31,8 @@
 // marks the feed complete. Market keys are "<region>/<size>", e.g.
 // "us-east-1a/small"; on-demand prices come from the instance-type catalog.
 //
-// The event-queue backend honours SPOTHOST_EVENT_QUEUE=wheel|heap for both
-// engines.
+// replay and tail run a live::WallClock, which paces a Simulation it owns,
+// so they dispatch through the same Simulation::run_until loop as --mode sim.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -247,8 +247,7 @@ int main(int argc, char** argv) {
   } else if (mode == "replay") {
     const LoadedFeed loaded = load_feed(feed_path);
     const auto config = make_config(loaded.keys.front());
-    live::WallClock clock(live::WallClock::Options{
-        live::WallClock::kMaxSpeed, 0, sim::default_queue_backend()});
+    live::WallClock clock(live::WallClock::Options{live::WallClock::kMaxSpeed, 0});
     live::HostingSession session(
         clock, build_spec(loaded.keys, nullptr, config, seed));
     session.attach_tracer(&tracer);
@@ -288,8 +287,7 @@ int main(int argc, char** argv) {
     feed.pump();
 
     const auto config = make_config(feed.markets().front());
-    live::WallClock clock(
-        live::WallClock::Options{speed, 0, sim::default_queue_backend()});
+    live::WallClock clock(live::WallClock::Options{speed, 0});
     live::HostingSession session(
         clock, build_spec(feed.markets(), nullptr, config, seed));
     session.attach_tracer(&tracer);

@@ -1,21 +1,28 @@
 #!/usr/bin/env bash
-# Layering lint: everything below the experiment layer must depend only on
-# the narrow sim::Clock interface (simcore/clock.hpp) — plus, for sharded
-# routing, the sim::ShardRouter seam (simcore/shard_router.hpp) — never on a
-# concrete simulation engine. Only the experiment/session layer (metrics/,
-# live/ session wiring, examples, tests, benches) may include
-# simulation.hpp or sharded_sim.hpp.
+# Layering lint, three rules:
 #
-# Fails with the offending include lines if src/sched/, src/virt/, or
-# src/cloud/ reach into a concrete engine header.
+#  1. Everything below the experiment layer must depend only on the narrow
+#     sim::Clock interface (simcore/clock.hpp) — plus, for sharded routing,
+#     the sim::ShardRouter seam (simcore/shard_router.hpp) — never on a
+#     concrete simulation engine. Only the experiment/session layer
+#     (metrics/, live/ session wiring, examples, tests, benches) may include
+#     simulation.hpp or sharded_sim.hpp.
+#  2. Only simcore owns an event queue: no src/ file outside src/simcore/
+#     includes the queue contract, the timing wheel, or the event arena.
+#  3. Test-only code (the binary-heap oracle, fixtures) stays in tests/:
+#     nothing under src/, bench/ or examples/ includes a tests/ header.
+#
+# Fails with the offending include lines.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+include='^[[:space:]]*#[[:space:]]*include[[:space:]]*'
 status=0
+
 for layer in src/sched src/virt src/cloud; do
   if matches=$(grep -rn --include='*.hpp' --include='*.cpp' -E \
-      '^[[:space:]]*#include.*simcore/(simulation|sharded_sim)\.hpp' \
+      "${include}.*simcore/(simulation|sharded_sim)\.hpp" \
       "$layer" 2>/dev/null); then
     echo "LAYERING VIOLATION: $layer must depend on sim::Clock (and at most" \
          "the sim::ShardRouter seam), not a concrete engine:"
@@ -24,8 +31,33 @@ for layer in src/sched src/virt src/cloud; do
   fi
 done
 
+if matches=$(grep -rn --include='*.hpp' --include='*.cpp' -E \
+    "${include}.*simcore/(event_queue|timing_wheel|event_arena)\.hpp" \
+    src | grep -v '^src/simcore/'); then
+  echo "LAYERING VIOLATION: only src/simcore/ may include an event-queue" \
+       "header; schedule through sim::Clock / sim::Engine instead:"
+  echo "$matches"
+  status=1
+fi
+
+# A tests/ path in the include, or the name of any header that lives there.
+test_headers=$(find tests -name '*.hpp' -o -name '*.h' | xargs -r -n1 basename |
+               sed 's/\./\\./g' | paste -sd '|' -)
+pattern="${include}[\"<]([^\">]*/)?tests/"
+if [ -n "$test_headers" ]; then
+  pattern="${pattern}|${include}[\"<]([^\">]*/)?(${test_headers})[\">]"
+fi
+if matches=$(grep -rn --include='*.hpp' --include='*.cpp' -E "$pattern" \
+    src bench examples); then
+  echo "LAYERING VIOLATION: src/, bench/ and examples/ must not include" \
+       "test-only headers:"
+  echo "$matches"
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "layering OK: src/sched, src/virt, src/cloud depend only on" \
-       "sim::Clock + sim::ShardRouter"
+       "sim::Clock + sim::ShardRouter; only src/simcore owns a queue;" \
+       "no test-only header outside tests/"
 fi
 exit "$status"

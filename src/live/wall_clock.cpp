@@ -12,10 +12,8 @@ constexpr sim::SimTime kForever = std::numeric_limits<sim::SimTime>::max();
 }  // namespace
 
 WallClock::WallClock(Options options)
-    : queue_(sim::make_event_queue(options.backend)),
-      speed_(options.speed),
+    : speed_(options.speed),
       replay_(options.speed == kMaxSpeed),
-      now_(options.start_time),
       anchor_wall_(std::chrono::steady_clock::now()),
       anchor_virtual_(options.start_time) {
   if (!(options.speed > 0.0) || std::isnan(options.speed)) {
@@ -24,20 +22,8 @@ WallClock::WallClock(Options options)
   if (options.start_time < 0) {
     throw std::invalid_argument("WallClock: negative start time");
   }
-}
-
-sim::EventHandle WallClock::at(sim::SimTime when, Callback cb) {
-  if (when < now_) {
-    throw std::invalid_argument("WallClock::at: scheduling in the past");
-  }
-  return sim::EventHandle{this, queue_->schedule(when, std::move(cb))};
-}
-
-sim::EventHandle WallClock::after(sim::SimTime delay, Callback cb) {
-  if (delay < 0) {
-    throw std::invalid_argument("WallClock::after: negative delay");
-  }
-  return sim::EventHandle{this, queue_->schedule(now_ + delay, std::move(cb))};
+  // The Simulation is still empty, so this only moves its clock.
+  sim_.run_until(options.start_time);
 }
 
 sim::SimTime WallClock::wall_virtual_now() const {
@@ -50,52 +36,38 @@ sim::SimTime WallClock::wall_virtual_now() const {
   return static_cast<sim::SimTime>(virtual_ms);
 }
 
-std::size_t WallClock::drain(sim::SimTime target) {
-  // Byte-for-byte the Simulation::run_until loop, including the final clamp
-  // with its run-forever-sentinel check: the parity golden test depends on
-  // now() tracking identically through both engines.
-  std::size_t n = 0;
-  sim::EventQueue::Fired fired;
-  while (queue_->pop_due(target, fired)) {
-    now_ = fired.time;
-    ++dispatched_;
-    ++n;
-    fired.callback();
-  }
-  if (now_ < target && target != kForever) now_ = target;
-  return n;
-}
-
 std::size_t WallClock::poll() {
-  if (replay_) return drain(kForever);
-  return drain(std::max(now_, wall_virtual_now()));
+  const std::uint64_t before = sim_.dispatched();
+  sim_.run_until(std::max(now(), wall_virtual_now()));
+  return static_cast<std::size_t>(sim_.dispatched() - before);
 }
 
 std::optional<std::chrono::nanoseconds> WallClock::wall_until_next() const {
-  if (queue_->empty()) return std::nullopt;
+  const std::optional<sim::SimTime> next = sim_.next_time();
+  if (!next) return std::nullopt;
   if (replay_) return std::chrono::nanoseconds{0};
-  const sim::SimTime next = queue_->next_time();
   const sim::SimTime vnow = wall_virtual_now();
-  if (next <= vnow) return std::chrono::nanoseconds{0};
-  const double wall_ms = static_cast<double>(next - vnow) / speed_;
+  if (*next <= vnow) return std::chrono::nanoseconds{0};
+  const double wall_ms = static_cast<double>(*next - vnow) / speed_;
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double, std::milli>(wall_ms));
 }
 
 void WallClock::run_until(sim::SimTime horizon) {
   if (replay_) {
-    drain(horizon);
+    sim_.run_until(horizon);
     return;
   }
   for (;;) {
-    const sim::SimTime target = std::min(horizon, std::max(now_, wall_virtual_now()));
-    drain(target);
+    const sim::SimTime target = std::min(horizon, std::max(now(), wall_virtual_now()));
+    sim_.run_until(target);
     if (target >= horizon) return;
     // Sleep until the next pending event is due (or the horizon if idle),
     // then loop: new events scheduled by dispatched callbacks shorten the
-    // next sleep automatically.
-    const sim::SimTime next_due =
-        queue_->empty() ? horizon : std::min(horizon, queue_->next_time());
+    // next sleep automatically. An idle run() has nothing left to wait for.
+    const std::optional<sim::SimTime> next = sim_.next_time();
+    if (!next && horizon == kForever) return;
+    const sim::SimTime next_due = next ? std::min(horizon, *next) : horizon;
     const sim::SimTime vnow = wall_virtual_now();
     if (next_due > vnow) {
       const double wall_ms = static_cast<double>(next_due - vnow) / speed_;

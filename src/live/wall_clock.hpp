@@ -1,9 +1,13 @@
-// The wall-time engine: sim::Clock/Engine over std::chrono::steady_clock.
+// The wall-time engine: a pacer that drives a sim::Simulation it owns from
+// std::chrono::steady_clock.
 //
 // WallClock maps elapsed wall time onto the same millisecond SimTime axis
-// the simulation uses, backed by the very same event-queue backends (timing
-// wheel by default — SPOTHOST_EVENT_QUEUE applies here too), so the policy
-// layer cannot tell which engine is underneath. Three speeds:
+// the simulation uses. It keeps no queue and no dispatch loop of its own:
+// scheduling, cancelling, the tracer and the fault injector forward to the
+// Simulation, and every dispatch is Simulation::run_until(target) with
+// `target` the wall-mapped virtual time — so the policy layer cannot tell
+// which engine is underneath, and sim<->replay parity holds by construction.
+// Three speeds:
 //
 //   * speed 1.0  — real time: one virtual millisecond per wall millisecond.
 //   * speed N    — paced replay: N virtual ms per wall ms (demo / soak).
@@ -11,7 +15,7 @@
 //     to event with no sleeping, exactly the discrete-event semantics of
 //     Simulation::run_until. This is the parity mode: replaying a recorded
 //     feed here produces the byte-identical trace the simulation produces
-//     (tests/live/test_serve_parity.cpp pins it).
+//     (tests/live/test_serve_parity.cpp pins it, paced runs included).
 //
 // Time only advances inside poll()/run_until() — between calls now() is the
 // time of the last dispatch target, never a raw steady_clock read. That
@@ -29,11 +33,11 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
+#include <utility>
 
 #include "simcore/engine.hpp"
-#include "simcore/event_queue.hpp"
+#include "simcore/simulation.hpp"
 #include "simcore/time.hpp"
 
 namespace spothost::live {
@@ -49,39 +53,43 @@ class WallClock final : public sim::Engine {
     double speed = 1.0;
     /// Initial virtual time.
     sim::SimTime start_time = 0;
-    /// Event-queue backend (default honours SPOTHOST_EVENT_QUEUE).
-    sim::QueueBackend backend = sim::default_queue_backend();
   };
 
-  WallClock() : WallClock(Options{1.0, 0, sim::default_queue_backend()}) {}
+  WallClock() : WallClock(Options{1.0, 0}) {}
   explicit WallClock(Options options);
 
-  // --- sim::Clock --------------------------------------------------------
-  [[nodiscard]] sim::SimTime now() const noexcept override { return now_; }
-  sim::EventHandle at(sim::SimTime when, Callback cb) override;
-  sim::EventHandle after(sim::SimTime delay, Callback cb) override;
-  bool cancel(sim::EventId id) override { return queue_->cancel(id); }
+  // --- sim::Clock / sim::Engine, forwarded to the Simulation --------------
+  [[nodiscard]] sim::SimTime now() const noexcept override { return sim_.now(); }
+  sim::EventHandle at(sim::SimTime when, Callback cb) override {
+    return sim_.at(when, std::move(cb));
+  }
+  sim::EventHandle after(sim::SimTime delay, Callback cb) override {
+    return sim_.after(delay, std::move(cb));
+  }
+  bool cancel(sim::EventId id) override { return sim_.cancel(id); }
   [[nodiscard]] obs::Tracer* tracer() const noexcept override {
-    return tracer_;
+    return sim_.tracer();
   }
   [[nodiscard]] faults::FaultInjector* fault_injector() const noexcept override {
-    return fault_injector_;
+    return sim_.fault_injector();
+  }
+  [[nodiscard]] std::uint64_t dispatched() const noexcept override {
+    return sim_.dispatched();
+  }
+  [[nodiscard]] std::size_t pending() const override { return sim_.pending(); }
+  void set_tracer(obs::Tracer* tracer) noexcept override {
+    sim_.set_tracer(tracer);
+  }
+  void set_fault_injector(faults::FaultInjector* injector) noexcept override {
+    sim_.set_fault_injector(injector);
   }
 
-  // --- sim::Engine -------------------------------------------------------
-  /// Fast-replay: identical to Simulation::run_until (no sleeping).
+  /// Fast-replay: exactly Simulation::run_until (no sleeping).
   /// Real time / paced: dispatches due events and sleeps between them until
-  /// virtual time reaches `horizon`. Do not pass the run-forever sentinel on
-  /// the wall path unless something is guaranteed to drain the queue.
+  /// virtual time reaches `horizon`; with the run-forever sentinel (run())
+  /// it returns once the queue drains, now() at the wall-mapped time of the
+  /// last dispatch.
   void run_until(sim::SimTime horizon) override;
-  [[nodiscard]] std::uint64_t dispatched() const noexcept override {
-    return dispatched_;
-  }
-  [[nodiscard]] std::size_t pending() const override { return queue_->size(); }
-  void set_tracer(obs::Tracer* tracer) noexcept override { tracer_ = tracer; }
-  void set_fault_injector(faults::FaultInjector* injector) noexcept override {
-    fault_injector_ = injector;
-  }
 
   // --- the serve loop's surface ------------------------------------------
   /// Dispatches everything currently due — in fast-replay, *everything*
@@ -96,26 +104,16 @@ class WallClock final : public sim::Engine {
 
   [[nodiscard]] bool fast_replay() const noexcept { return replay_; }
   [[nodiscard]] double speed() const noexcept { return speed_; }
-  [[nodiscard]] sim::QueueBackend backend() const noexcept {
-    return queue_->backend();
-  }
 
  private:
-  /// Virtual time corresponding to the current wall instant (>= now_).
+  /// Virtual time corresponding to the current wall instant.
   [[nodiscard]] sim::SimTime wall_virtual_now() const;
-  /// Dispatches every event due at or before `target`; advances now_ to
-  /// `target` afterwards (unless it is the run-forever sentinel).
-  std::size_t drain(sim::SimTime target);
 
-  std::unique_ptr<sim::EventQueue> queue_;
+  sim::Simulation sim_;
   double speed_ = 1.0;
   bool replay_ = false;
-  sim::SimTime now_ = 0;
   std::chrono::steady_clock::time_point anchor_wall_;
   sim::SimTime anchor_virtual_ = 0;
-  std::uint64_t dispatched_ = 0;
-  obs::Tracer* tracer_ = nullptr;
-  faults::FaultInjector* fault_injector_ = nullptr;
 };
 
 }  // namespace spothost::live

@@ -7,12 +7,13 @@
 //
 //   * sim::Simulation — virtual time; run_until() consumes the queue as fast
 //     as the CPU allows (simcore/simulation.hpp).
-//   * live::WallClock — wall time; run_until() sleeps between events, or
-//     fast-replays deterministically at --speed max (live/wall_clock.hpp).
+//   * live::WallClock — wall time; paces a Simulation it owns, sleeping
+//     between events, or fast-replays deterministically at --speed max
+//     (live/wall_clock.hpp).
 //
 // The experiment layer (sched::World, metrics) programs against Engine so
 // the same wiring runs a backtest or a live session; only code that needs
-// Simulation-only hooks (step(), the dispatch hook) names the concrete type.
+// Simulation::next_time() (the pacer) names the concrete type.
 #pragma once
 
 #include <cstddef>
@@ -52,9 +53,9 @@ class Engine : public Clock {
 };
 
 /// Constructs the default simulation engine behind the Engine interface,
-/// honouring SPOTHOST_EVENT_QUEUE and SPOTHOST_SHARDS (> 1 selects the
-/// sharded engine, simcore/sharded_sim.hpp; the sharded run is byte-identical
-/// to the serial one). Lets engine-agnostic code (sched::World) build the
+/// honouring SPOTHOST_SHARDS (> 1 selects the sharded engine,
+/// simcore/sharded_sim.hpp; the sharded run is byte-identical to the serial
+/// one). Lets engine-agnostic code (sched::World) build the
 /// default engine without including simulation.hpp — the layering lint
 /// forbids that below the experiment layer.
 [[nodiscard]] std::unique_ptr<Engine> make_simulation_engine();

@@ -1,45 +1,32 @@
-// Cancellable discrete-event queue: the backend seam.
+// Cancellable discrete-event queue: the contract two implementations share.
 //
-// EventQueue is the abstract contract the Simulation drives; two backends
-// implement it over the shared EventArena slab (simcore/event_arena.hpp):
+// EventQueue is implemented over the shared EventArena slab
+// (simcore/event_arena.hpp) twice:
 //
 //   * TimingWheelQueue (simcore/timing_wheel.hpp) — hierarchical timing
 //     wheel, O(1) schedule/cancel/pop for the massively periodic hour-tick
-//     and poll events that dominate fleet runs. The default.
-//   * BinaryHeapQueue (below) — the classic O(log n) heap. Kept as the
-//     differential-testing oracle and as a fallback.
+//     and poll events that dominate fleet runs. The only production queue:
+//     Simulation and every ShardedSimulation lane hold one by value, so the
+//     dispatch loop makes no virtual queue call.
+//   * the binary heap (tests/simcore/binary_heap_queue.hpp) — the classic
+//     O(log n) heap, built only into the tests as the differential oracle.
 //
-// Determinism contract (both backends, enforced by the differential fuzz
-// test in tests/simcore): events pop in (time, schedule order) — FIFO among
-// equal timestamps — so same-seed runs are byte-identical regardless of
-// backend, and the wheel can be the default without re-pinning goldens.
+// Determinism contract (both implementations, enforced by the contract
+// suite and the lockstep differential fuzz in tests/simcore): events pop in
+// (time, schedule order) — FIFO among equal timestamps — so same-seed runs
+// are byte-identical and the wheel's answers can be checked against the
+// simple heap's.
 //
-// Select a backend per-Simulation via the constructor, or process-wide with
-// SPOTHOST_EVENT_QUEUE=wheel|heap (read by default_queue_backend()).
+// Only simcore owns a queue: scripts/check_layering.sh fails if a src/ file
+// outside src/simcore/ includes this header, the wheel's, or the arena's.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
+#include <cstddef>
 
 #include "simcore/clock.hpp"
-#include "simcore/event_arena.hpp"
 #include "simcore/time.hpp"
 
 namespace spothost::sim {
-
-/// Which EventQueue implementation backs a Simulation.
-enum class QueueBackend : std::uint8_t {
-  kTimingWheel,  ///< hierarchical timing wheel (default)
-  kBinaryHeap,   ///< binary heap oracle
-};
-
-[[nodiscard]] const char* to_string(QueueBackend backend) noexcept;
-
-/// The process-wide default: SPOTHOST_EVENT_QUEUE=wheel|heap if set (an
-/// unrecognised value warns on stderr once and falls through), else the
-/// timing wheel.
-[[nodiscard]] QueueBackend default_queue_backend();
 
 class EventQueue {
  public:
@@ -51,8 +38,8 @@ class EventQueue {
   virtual ~EventQueue() = default;
 
   /// Enqueues `cb` to fire at absolute time `when`. Returns a cancellation
-  /// id. Backends may require monotone scheduling (when >= the time of the
-  /// last pop); the Simulation's now() guard guarantees it.
+  /// id. Implementations may require monotone scheduling (when >= the time
+  /// of the last pop); the Simulation's now() guard guarantees it.
   virtual EventId schedule(SimTime when, Callback cb) = 0;
 
   /// Cancels a pending event. Returns false if the event already fired,
@@ -80,9 +67,9 @@ class EventQueue {
 
   /// Fused peek-and-pop, the dispatch loop's fast path: when the earliest
   /// live event fires at or before `horizon`, pops it into `out` and
-  /// returns true; otherwise returns false with `out` untouched. One
-  /// virtual call per dispatched event instead of three (empty / next_time
-  /// / pop), and backends skip the duplicated find-the-earliest work.
+  /// returns true; otherwise returns false with `out` untouched. One call
+  /// per dispatched event instead of three (empty / next_time / pop), and
+  /// implementations skip the duplicated find-the-earliest work.
   virtual bool pop_due(SimTime horizon, Fired& out) {
     if (empty() || next_time() > horizon) return false;
     out = pop();
@@ -91,66 +78,6 @@ class EventQueue {
 
   /// Drops all pending events. Ids issued before clear() stay invalid.
   virtual void clear() = 0;
-
-  [[nodiscard]] virtual QueueBackend backend() const noexcept = 0;
-};
-
-/// Constructs the requested backend.
-[[nodiscard]] std::unique_ptr<EventQueue> make_event_queue(QueueBackend backend);
-
-/// Binary-heap backend. Events at equal timestamps fire in scheduling order
-/// (FIFO) via a global sequence tie-break. Cancellation is O(1) in the arena
-/// but lazy in the heap: cancelled entries stay until skimmed on pop. When
-/// cancelled entries come to outnumber live ones (long fleet runs with
-/// proactive bidding accumulate cancelled switchover/hour-tick events faster
-/// than they pop), the heap is compacted in one O(n) rebuild, bounding
-/// memory at ~2x the live count.
-class BinaryHeapQueue final : public EventQueue {
- public:
-  EventId schedule(SimTime when, Callback cb) override;
-  bool cancel(EventId id) override;
-  [[nodiscard]] bool empty() const override { return arena_.live() == 0; }
-  [[nodiscard]] std::size_t size() const override { return arena_.live(); }
-  [[nodiscard]] SimTime next_time() const override;
-  Fired pop() override;
-  bool pop_due(SimTime horizon, Fired& out) override;
-  void clear() override;
-  [[nodiscard]] QueueBackend backend() const noexcept override {
-    return QueueBackend::kBinaryHeap;
-  }
-
-  /// Total heap entries, live + cancelled-but-not-yet-dropped. Exposed so
-  /// tests can assert compaction keeps this bounded relative to size().
-  [[nodiscard]] std::size_t heap_entries() const noexcept { return heap_.size(); }
-
- private:
-  struct Entry {
-    SimTime time;
-    std::uint64_t seq;  // tie-break: FIFO among equal timestamps
-    std::uint32_t slot;
-    std::uint32_t gen;  // entry is stale once the arena generation moves on
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  [[nodiscard]] bool stale(const Entry& e) const {
-    return arena_.gen(e.slot) != e.gen;
-  }
-  // Pops cancelled entries off the heap top.
-  void skim() const;
-  // Rebuilds the heap without cancelled entries once they exceed the live
-  // count (above a small floor, so tiny queues never pay for a rebuild).
-  void compact_if_stale();
-
-  // Max-heap under Later (= earliest event at front), maintained with
-  // std::push_heap/pop_heap; a plain vector so compaction can erase stale
-  // entries in place. Mutable: skim() drops dead entries from const reads.
-  mutable std::vector<Entry> heap_;
-  EventArena arena_;
 };
 
 }  // namespace spothost::sim

@@ -15,6 +15,7 @@
 #include "obs/sink.hpp"
 #include "simcore/event_arena.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/timing_wheel.hpp"
 
 namespace spothost::sim {
 
@@ -48,10 +49,8 @@ constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
 }  // namespace
 
 struct ShardedSimulation::Lane final : public Clock {
-  Lane(ShardedSimulation* engine, std::size_t lane_index, QueueBackend backend)
-      : owner(engine),
-        index(lane_index),
-        queue(make_event_queue(backend)) {
+  Lane(ShardedSimulation* engine, std::size_t lane_index)
+      : owner(engine), index(lane_index) {
     tracer_obj.add_sink(&sink);
   }
 
@@ -99,7 +98,7 @@ struct ShardedSimulation::Lane final : public Clock {
 
   ShardedSimulation* owner;
   std::size_t index;  // 0 = global lane, 1 + k = shard k
-  std::unique_ptr<EventQueue> queue;
+  TimingWheelQueue queue;
   SimTime now_t = 0;
   std::uint64_t dispatched = 0;
   // vgs of every pending event, indexed by arena slot. Slot reuse is safe:
@@ -114,15 +113,14 @@ struct ShardedSimulation::Lane final : public Clock {
   double busy_seconds = 0.0;
 };
 
-ShardedSimulation::ShardedSimulation(std::size_t shards, QueueBackend backend,
-                                     exec::ThreadPool* pool)
+ShardedSimulation::ShardedSimulation(std::size_t shards, exec::ThreadPool* pool)
     : pool_(pool != nullptr ? pool : &exec::ThreadPool::shared()) {
   if (shards < 1) {
     throw std::invalid_argument("ShardedSimulation: shards must be >= 1");
   }
   lanes_.reserve(shards + 1);
   for (std::size_t i = 0; i <= shards; ++i) {
-    lanes_.push_back(std::make_unique<Lane>(this, i, backend));
+    lanes_.push_back(std::make_unique<Lane>(this, i));
   }
 }
 
@@ -160,7 +158,7 @@ std::uint64_t ShardedSimulation::dispatched() const noexcept {
 std::size_t ShardedSimulation::pending() const {
   std::size_t total = 0;
   for (const auto& lane : lanes_) {
-    total += lane->queue->size() + lane->mailbox.size();
+    total += lane->queue.size() + lane->mailbox.size();
   }
   return total;
 }
@@ -291,12 +289,12 @@ EventHandle ShardedSimulation::lane_at(Lane& lane, SimTime when, Callback cb) {
               : "ShardedSimulation: cross-shard scheduling from a parallel "
                 "window (a callback may only schedule on its own shard)");
     }
-    const EventId id = lane.queue->schedule(when, std::move(cb));
+    const EventId id = lane.queue.schedule(when, std::move(cb));
     lane.child_ids.push_back(id);
     ++lane.log.back().children;
     return EventHandle{&lane, id};
   }
-  const EventId id = lane.queue->schedule(when, std::move(cb));
+  const EventId id = lane.queue.schedule(when, std::move(cb));
   assign_vgs(lane, id, next_vgs_++);
   return EventHandle{&lane, id};
 }
@@ -311,7 +309,7 @@ bool ShardedSimulation::lane_cancel(Lane& lane, EventId id) {
     throw std::logic_error(
         "ShardedSimulation: cross-shard cancel from a parallel window");
   }
-  if (lane.queue->cancel(id)) return true;
+  if (lane.queue.cancel(id)) return true;
   // Barrier step: run_time pops every event due at the barrier time before
   // running any of them, but the serial engine pops one at a time — so a
   // callback canceling a same-tick event that has not yet fired must still
@@ -366,7 +364,7 @@ void ShardedSimulation::run_window_lane(Lane& lane, SimTime barrier) {
   }
   lane.mailbox.clear();
   EventQueue::Fired fired;
-  while (lane.queue->pop_due(barrier - 1, fired)) {
+  while (lane.queue.pop_due(barrier - 1, fired)) {
     lane.now_t = fired.time;
     ++lane.dispatched;
     lane.log.push_back(Lane::LogEntry{fired.time, fired.id, 0, 0, 0});
@@ -385,7 +383,7 @@ void ShardedSimulation::run_windows(SimTime barrier) {
   for (std::size_t k = 1; k < lanes_.size(); ++k) {
     Lane& lane = *lanes_[k];
     if (!lane.mailbox.empty() ||
-        (!lane.queue->empty() && lane.queue->next_time() < barrier)) {
+        (!lane.queue.empty() && lane.queue.next_time() < barrier)) {
       active_.push_back(&lane);
     }
   }
@@ -487,7 +485,7 @@ void ShardedSimulation::run_time(SimTime t) {
     for (auto& lane_ptr : lanes_) {
       Lane& lane = *lane_ptr;
       EventQueue::Fired fired;
-      while (lane.queue->pop_due(t, fired)) {
+      while (lane.queue.pop_due(t, fired)) {
         staged_.push_back(Staged{vgs_of(lane, fired.id), fired.id, &lane,
                                  std::move(fired.callback), false});
       }
@@ -529,11 +527,11 @@ void ShardedSimulation::run_until(SimTime horizon) {
     }
     SimTime t_shard = kForever;
     for (std::size_t k = 1; k < lanes_.size(); ++k) {
-      const auto& queue = *lanes_[k]->queue;
+      const auto& queue = lanes_[k]->queue;
       if (!queue.empty()) t_shard = std::min(t_shard, queue.next_time());
     }
     const SimTime t_global =
-        lanes_[0]->queue->empty() ? kForever : lanes_[0]->queue->next_time();
+        lanes_[0]->queue.empty() ? kForever : lanes_[0]->queue.next_time();
     const SimTime t_next = std::min(t_shard, t_global);
     // Done when every queue is drained (t_next is the kForever sentinel —
     // which never compares past a kForever horizon) or past the horizon.

@@ -4,7 +4,7 @@
 // The engine owns K + 1 event lanes: one *global* lane (the engine's own
 // Clock — markets, provider, billing, anything with cross-shard reach) and K
 // *shard* lanes (per-service work partitioned by shard_of_key). Lanes have
-// their own EventQueue (wheel or heap, the PR 6 seam), their own clock, and
+// their own timing wheel (simcore/timing_wheel.hpp), their own clock, and
 // their own trace buffer, so between barriers they share no mutable state
 // and advance in parallel on the exec::ThreadPool. The run loop alternates:
 //
@@ -58,7 +58,6 @@
 #include <vector>
 
 #include "simcore/engine.hpp"
-#include "simcore/event_queue.hpp"
 #include "simcore/shard_router.hpp"
 #include "simcore/time.hpp"
 
@@ -70,11 +69,10 @@ namespace spothost::sim {
 
 class ShardedSimulation final : public Engine, public ShardRouter {
  public:
-  /// `shards` >= 1 shard lanes plus the global lane, all on `backend`
-  /// queues. `pool` runs the windows (nullptr = exec::ThreadPool::shared());
-  /// fewer workers than shards is fine — the driving thread participates.
+  /// `shards` >= 1 shard lanes plus the global lane. `pool` runs the
+  /// windows (nullptr = exec::ThreadPool::shared()); fewer workers than
+  /// shards is fine — the driving thread participates.
   explicit ShardedSimulation(std::size_t shards,
-                             QueueBackend backend = default_queue_backend(),
                              exec::ThreadPool* pool = nullptr);
   ~ShardedSimulation() override;
 

@@ -1,5 +1,6 @@
 #include "simcore/simulation.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "simcore/sharded_sim.hpp"
@@ -10,37 +11,26 @@ EventHandle Simulation::at(SimTime when, Callback cb) {
   if (when < now_) {
     throw std::invalid_argument("Simulation::at: scheduling in the past");
   }
-  return EventHandle{this, queue_->schedule(when, std::move(cb))};
+  return EventHandle{this, queue_.schedule(when, std::move(cb))};
 }
 
 EventHandle Simulation::after(SimTime delay, Callback cb) {
   if (delay < 0) {
     throw std::invalid_argument("Simulation::after: negative delay");
   }
-  return EventHandle{this, queue_->schedule(now_ + delay, std::move(cb))};
+  return EventHandle{this, queue_.schedule(now_ + delay, std::move(cb))};
 }
 
 void Simulation::run_until(SimTime horizon) {
   EventQueue::Fired fired;
-  while (queue_->pop_due(horizon, fired)) {
+  while (queue_.pop_due(horizon, fired)) {
     now_ = fired.time;
     ++dispatched_;
-    if (dispatch_hook_) dispatch_hook_(now_, dispatched_);
     fired.callback();
   }
   if (now_ < horizon && horizon != std::numeric_limits<SimTime>::max()) {
     now_ = horizon;
   }
-}
-
-bool Simulation::step() {
-  if (queue_->empty()) return false;
-  auto fired = queue_->pop();
-  now_ = fired.time;
-  ++dispatched_;
-  if (dispatch_hook_) dispatch_hook_(now_, dispatched_);
-  fired.callback();
-  return true;
 }
 
 std::unique_ptr<Engine> make_simulation_engine() {

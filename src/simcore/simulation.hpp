@@ -9,8 +9,14 @@
 // ~10^4 events, but one simulation carrying a 100k-1M-service fleet pushes
 // 10^8-10^9 periodic hour-tick/poll events through this loop, which is why
 // the queue behind it is a hierarchical timing wheel (O(1) per event; see
-// simcore/timing_wheel.hpp) with the binary heap retained as a
-// differential-testing oracle behind the EventQueue seam.
+// simcore/timing_wheel.hpp), held by value so dispatch makes no virtual
+// queue call.
+//
+// run_until() is the one serial dispatch loop: live::WallClock paces a
+// Simulation it owns (sleeping on next_time(), then calling run_until() with
+// the wall-mapped time), so simulated and wall-time runs dispatch through
+// the same code. Only the sharded engine's lanes (simcore/sharded_sim.cpp)
+// pop events anywhere else.
 //
 // Policy code should not depend on this class: it programs against the
 // narrow sim::Clock interface (simcore/clock.hpp) that Simulation
@@ -22,23 +28,18 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
-#include <memory>
+#include <optional>
 
 #include "simcore/clock.hpp"
 #include "simcore/engine.hpp"
-#include "simcore/event_queue.hpp"
 #include "simcore/time.hpp"
+#include "simcore/timing_wheel.hpp"
 
 namespace spothost::sim {
 
 class Simulation final : public Engine {
  public:
-  /// Backed by `backend`; the default honours SPOTHOST_EVENT_QUEUE and
-  /// otherwise picks the timing wheel.
-  explicit Simulation(QueueBackend backend = default_queue_backend())
-      : queue_(make_event_queue(backend)) {}
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -53,15 +54,12 @@ class Simulation final : public Engine {
 
   /// Cancels a pending event; returns false if it already fired. Prefer
   /// EventHandle::cancel() in policy code.
-  bool cancel(EventId id) override { return queue_->cancel(id); }
+  bool cancel(EventId id) override { return queue_.cancel(id); }
 
   /// Runs events until the queue is empty or the clock would pass `horizon`.
   /// The clock is left at min(horizon, last event time); events scheduled at
   /// exactly `horizon` do fire.
   void run_until(SimTime horizon) override;
-
-  /// Fires the single next event, if any. Returns false when idle.
-  bool step();
 
   /// Number of events dispatched so far (for perf benchmarking and tests).
   [[nodiscard]] std::uint64_t dispatched() const noexcept override {
@@ -69,11 +67,13 @@ class Simulation final : public Engine {
   }
 
   /// Pending live events.
-  [[nodiscard]] std::size_t pending() const override { return queue_->size(); }
+  [[nodiscard]] std::size_t pending() const override { return queue_.size(); }
 
-  /// Which EventQueue implementation this simulation runs on.
-  [[nodiscard]] QueueBackend backend() const noexcept {
-    return queue_->backend();
+  /// Time of the earliest pending event; nullopt when idle. What a pacing
+  /// engine (live::WallClock) sleeps on between run_until() calls.
+  [[nodiscard]] std::optional<SimTime> next_time() const {
+    if (queue_.empty()) return std::nullopt;
+    return queue_.next_time();
   }
 
   /// Attaches the run's trace dispatcher (not owned; nullptr disables).
@@ -95,19 +95,12 @@ class Simulation final : public Engine {
     return fault_injector_;
   }
 
-  /// Observation hook fired on every event dispatch, before the callback
-  /// runs, with (event time, total dispatched so far). Unset by default —
-  /// the hot path then pays one branch. Not part of the trace stream.
-  using DispatchHook = std::function<void(SimTime, std::uint64_t)>;
-  void set_dispatch_hook(DispatchHook hook) { dispatch_hook_ = std::move(hook); }
-
  private:
   SimTime now_ = 0;
-  std::unique_ptr<EventQueue> queue_;
+  TimingWheelQueue queue_;
   std::uint64_t dispatched_ = 0;
   obs::Tracer* tracer_ = nullptr;
   faults::FaultInjector* fault_injector_ = nullptr;
-  DispatchHook dispatch_hook_;
 };
 
 }  // namespace spothost::sim

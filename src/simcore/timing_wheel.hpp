@@ -1,4 +1,4 @@
-// Hierarchical timing wheel: the default EventQueue backend.
+// Hierarchical timing wheel: the production EventQueue.
 //
 // Layout: 6 levels x 64 slots. Level 0 slots are exactly one millisecond
 // wide; each level above covers 64x the span of the one below, so the wheel
@@ -15,8 +15,8 @@
 // re-places at a strictly lower level), so by the time a millisecond is due,
 // all its events sit in one level-0 bucket. That bucket is drained as a
 // batch sorted by global schedule sequence — restoring exact (time, FIFO)
-// order, the same determinism contract the heap backend provides (see
-// event_queue.hpp).
+// order, the determinism contract the test-only heap oracle checks it
+// against (see event_queue.hpp).
 //
 // Buckets are contiguous vectors of small {when, seq, id} records rather
 // than linked lists: a cascade streams one vector into a handful of others
@@ -46,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "simcore/event_arena.hpp"
 #include "simcore/event_queue.hpp"
 
 namespace spothost::sim {
@@ -70,10 +71,6 @@ class TimingWheelQueue final : public EventQueue {
   Fired pop() override;
   bool pop_due(SimTime horizon, Fired& out) override;
   void clear() override;
-  [[nodiscard]] QueueBackend backend() const noexcept override {
-    return QueueBackend::kTimingWheel;
-  }
-
   /// Events currently parked in the far-future overflow bucket (test hook).
   [[nodiscard]] std::size_t overflow_entries() const noexcept {
     return overflow_.size();

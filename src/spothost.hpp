@@ -55,7 +55,6 @@
 #include "sched/policy_zoo.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/scheduler_config.hpp"
-#include "simcore/event_queue.hpp"
 #include "simcore/logging.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"

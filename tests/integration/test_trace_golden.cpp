@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -76,16 +75,11 @@ TEST(TraceGolden, ProactiveMultiMarketRunIsByteIdentical) {
 TEST(TraceGolden, ShardedRunIsByteIdenticalToSerial) {
   // Scenario::shards is an explicit program choice, so it is never
   // hardware-clamped: the sharded engine runs on every machine, and its
-  // barrier/merge machinery must reproduce the serial bytes exactly —
-  // under both queue backends.
-  for (const char* backend : {"wheel", "heap"}) {
-    ASSERT_EQ(setenv("SPOTHOST_EVENT_QUEUE", backend, 1), 0);
-    for (const int shards : {2, 4}) {
-      expect_golden(run_golden_scenario(shards),
-                    std::string(backend) + " shards=" + std::to_string(shards));
-    }
+  // barrier/merge machinery must reproduce the serial bytes exactly.
+  for (const int shards : {2, 4}) {
+    expect_golden(run_golden_scenario(shards),
+                  "shards=" + std::to_string(shards));
   }
-  ASSERT_EQ(unsetenv("SPOTHOST_EVENT_QUEUE"), 0);
 }
 
 // ---- fleet golden: shard-pinned fleets reproduce the serial bytes ---------
@@ -166,24 +160,19 @@ FleetRun run_fleet_golden(int shards) {
 }
 
 TEST(FleetGolden, ShardPinnedFleetIsByteIdenticalToSerial) {
-  for (const char* backend : {"wheel", "heap"}) {
-    ASSERT_EQ(setenv("SPOTHOST_EVENT_QUEUE", backend, 1), 0);
-    const FleetRun serial = run_fleet_golden(/*shards=*/1);
-    ASSERT_FALSE(serial.jsonl.empty());
-    for (const int shards : {2, 4}) {
-      const FleetRun sharded = run_fleet_golden(shards);
-      const std::string label =
-          std::string(backend) + " shards=" + std::to_string(shards);
-      EXPECT_EQ(sharded.jsonl, serial.jsonl) << label;
-      EXPECT_EQ(sharded.table, serial.table) << label;
-      // The identity must be earned, not vacuous: the run must have staged
-      // price pre-screens and dispatched real lane work inside windows.
-      EXPECT_GT(sharded.windows, 0u) << label;
-      EXPECT_GT(sharded.merged, 0u) << label;
-      EXPECT_GT(sharded.stages, 0u) << label;
-    }
+  const FleetRun serial = run_fleet_golden(/*shards=*/1);
+  ASSERT_FALSE(serial.jsonl.empty());
+  for (const int shards : {2, 4}) {
+    const FleetRun sharded = run_fleet_golden(shards);
+    const std::string label = "shards=" + std::to_string(shards);
+    EXPECT_EQ(sharded.jsonl, serial.jsonl) << label;
+    EXPECT_EQ(sharded.table, serial.table) << label;
+    // The identity must be earned, not vacuous: the run must have staged
+    // price pre-screens and dispatched real lane work inside windows.
+    EXPECT_GT(sharded.windows, 0u) << label;
+    EXPECT_GT(sharded.merged, 0u) << label;
+    EXPECT_GT(sharded.stages, 0u) << label;
   }
-  ASSERT_EQ(unsetenv("SPOTHOST_EVENT_QUEUE"), 0);
 }
 
 }  // namespace

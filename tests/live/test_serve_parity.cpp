@@ -1,6 +1,7 @@
 // The two-clocks parity contract: replaying a recorded price stream through
-// live::WallClock in fast-replay mode produces the *byte-identical* decision
-// trace the simulation produces from the same prices.
+// live::WallClock — in fast-replay mode or paced — produces the
+// *byte-identical* decision trace the simulation produces from the same
+// prices.
 //
 // This is the license for serving live with the simulated policy layer — any
 // behavioural drift between the sim path (trace-fed SpotMarkets replaying
@@ -48,17 +49,23 @@ std::string sim_trace(const sched::Scenario& scenario,
   return os.str();
 }
 
-std::string live_replay_trace(const sched::Scenario& scenario,
-                              const sched::SchedulerConfig& config,
-                              const sched::MarketTraceSet& traces) {
+struct LiveRun {
+  std::string trace;  ///< JSONL decision stream
+  double total_cost = 0.0;
+};
+
+// The live path of spothost_serve: a HostingSession on a WallClock at
+// `speed`, its push-fed markets driven by a FeedDriver replaying `traces`.
+LiveRun live_run(const sched::Scenario& scenario,
+                 const sched::SchedulerConfig& config,
+                 const sched::MarketTraceSet& traces,
+                 double speed = live::WallClock::kMaxSpeed) {
   std::ostringstream os;
   obs::Tracer tracer;
   obs::JsonlSink sink(os);
   tracer.add_sink(&sink);
 
-  live::WallClock clock(
-      live::WallClock::Options{live::WallClock::kMaxSpeed, 0,
-                               sim::default_queue_backend()});
+  live::WallClock clock(live::WallClock::Options{speed, 0});
   live::SessionSpec spec;
   spec.seed = scenario.seed;
   spec.grace_period = scenario.grace_period;
@@ -79,7 +86,7 @@ std::string live_replay_trace(const sched::Scenario& scenario,
   clock.run_until(scenario.horizon);
   session.finalize(scenario.horizon);
   tracer.flush();
-  return os.str();
+  return LiveRun{os.str(), session.provider().ledger().total_cost()};
 }
 
 TEST(ServeParity, FastReplayMatchesSimulationByteForByte) {
@@ -90,7 +97,7 @@ TEST(ServeParity, FastReplayMatchesSimulationByteForByte) {
   const auto traces = sched::MarketTraceSet::generate(scenario);
 
   const std::string sim = sim_trace(scenario, cfg, traces);
-  const std::string live = live_replay_trace(scenario, cfg, *traces);
+  const std::string live = live_run(scenario, cfg, *traces).trace;
 
   ASSERT_FALSE(sim.empty());
   EXPECT_EQ(sim.size(), live.size());
@@ -103,45 +110,24 @@ TEST(ServeParity, ParityHoldsAcrossSeedsAndPolicies) {
     auto cfg = sched::reactive_config({"us-east-1b", InstanceSize::kLarge});
     const auto traces = sched::MarketTraceSet::generate(scenario);
     EXPECT_EQ(sim_trace(scenario, cfg, traces),
-              live_replay_trace(scenario, cfg, *traces))
+              live_run(scenario, cfg, *traces).trace)
         << "seed " << seed;
   }
 }
 
-TEST(ServeParity, ParityHoldsOnHeapBackend) {
-  // The parity contract is backend-independent: both engines honour the
-  // (time, schedule-seq) determinism contract on either queue.
-  const auto scenario = sched::normalized_scenario(parity_scenario(11));
+TEST(ServeParity, PacedReplayMatchesSimulationByteForByte) {
+  // A finite speed takes the paced path: run_until() in wall-mapped slices
+  // with sleeps between them. At 1e8 virtual ms per wall ms the 5-day
+  // scenario takes about 4 ms of wall time.
+  const auto scenario =
+      sched::normalized_scenario(parity_scenario(/*seed=*/7));
   auto cfg = sched::proactive_config({"us-east-1a", InstanceSize::kSmall});
+  cfg.scope = sched::MarketScope::kMultiMarket;
   const auto traces = sched::MarketTraceSet::generate(scenario);
 
-  std::ostringstream os;
-  obs::Tracer tracer;
-  obs::JsonlSink sink(os);
-  tracer.add_sink(&sink);
-  live::WallClock clock(live::WallClock::Options{
-      live::WallClock::kMaxSpeed, 0, sim::QueueBackend::kBinaryHeap});
-  live::SessionSpec spec;
-  spec.seed = scenario.seed;
-  spec.grace_period = scenario.grace_period;
-  spec.config = cfg;
-  for (const auto& entry : traces->markets()) {
-    spec.markets.push_back(live::SessionMarket{entry.id, entry.on_demand, nullptr});
-  }
-  live::HostingSession session(clock, spec);
-  session.attach_tracer(&tracer);
-  live::TraceReplayFeed feed;
-  for (const auto& entry : traces->markets()) {
-    feed.add_market(entry.id.str(), &entry.prices);
-  }
-  live::FeedDriver driver(clock, session.provider(), feed);
-  driver.start();
-  session.start();
-  clock.run_until(scenario.horizon);
-  session.finalize(scenario.horizon);
-  tracer.flush();
-
-  EXPECT_EQ(sim_trace(scenario, cfg, traces), os.str());
+  EXPECT_EQ(sim_trace(scenario, cfg, traces),
+            live_run(scenario, cfg, *traces, /*speed=*/1e8).trace)
+      << "sim and paced decision streams diverged";
 }
 
 TEST(ServeParity, LiveBillingMatchesSimulation) {
@@ -153,27 +139,7 @@ TEST(ServeParity, LiveBillingMatchesSimulation) {
   const auto sim_metrics = metrics::run_hosting_scenario(scenario, cfg, traces,
                                                          nullptr, nullptr);
 
-  live::WallClock clock(live::WallClock::Options{
-      live::WallClock::kMaxSpeed, 0, sim::default_queue_backend()});
-  live::SessionSpec spec;
-  spec.seed = scenario.seed;
-  spec.grace_period = scenario.grace_period;
-  spec.config = cfg;
-  for (const auto& entry : traces->markets()) {
-    spec.markets.push_back(live::SessionMarket{entry.id, entry.on_demand, nullptr});
-  }
-  live::HostingSession session(clock, spec);
-  live::TraceReplayFeed feed;
-  for (const auto& entry : traces->markets()) {
-    feed.add_market(entry.id.str(), &entry.prices);
-  }
-  live::FeedDriver driver(clock, session.provider(), feed);
-  driver.start();
-  session.start();
-  clock.run_until(scenario.horizon);
-  session.finalize(scenario.horizon);
-
-  EXPECT_DOUBLE_EQ(session.provider().ledger().total_cost(),
+  EXPECT_DOUBLE_EQ(live_run(scenario, cfg, *traces).total_cost,
                    sim_metrics.total_cost);
 }
 

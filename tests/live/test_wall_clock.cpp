@@ -136,6 +136,21 @@ TEST(WallClock, RealTimeRunAdvancesWithWallTime) {
   EXPECT_LT(wall_elapsed, std::chrono::seconds{30});
 }
 
+TEST(WallClock, PacedRunReturnsWhenQueueDrains) {
+  // Engine::run() returns once the queue drains. The paced loop must not
+  // sleep on the run-forever sentinel instead (ctest's TIMEOUT turns such a
+  // hang into a failure).
+  WallClock::Options o;
+  o.speed = 1000.0;
+  WallClock clock(o);
+  bool fired = false;
+  clock.at(50, [&] { fired = true; });
+  clock.run();
+  EXPECT_TRUE(fired);
+  EXPECT_GE(clock.now(), 50);
+  EXPECT_EQ(clock.pending(), 0u);
+}
+
 TEST(WallClock, PollNeverMovesTimeBackwards) {
   WallClock::Options o;
   o.speed = 10000.0;  // a poll after any sleep lands well past the timers

@@ -1,44 +1,47 @@
-// Backend-agnostic EventQueue contract tests, run against every backend via
-// make_event_queue — plus heap-only compaction tests pinned to
-// BinaryHeapQueue (compaction is a lazy-cancel implementation detail the
-// timing wheel does not have).
+// EventQueue contract tests, run through the interface against both
+// implementations — the production timing wheel and the binary-heap oracle
+// (binary_heap_queue.hpp) — plus heap-only compaction tests (compaction is
+// a lazy-cancel implementation detail the timing wheel does not have).
 #include "simcore/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdint>
 #include <limits>
 #include <memory>
-#include <string>
 #include <vector>
+
+#include "binary_heap_queue.hpp"
+#include "simcore/timing_wheel.hpp"
 
 namespace spothost::sim {
 namespace {
 
-class EventQueueContract : public ::testing::TestWithParam<QueueBackend> {
+enum class Backend : std::uint8_t { kWheel, kHeap };
+
+std::unique_ptr<EventQueue> make_queue(Backend backend) {
+  if (backend == Backend::kHeap) return std::make_unique<BinaryHeapQueue>();
+  return std::make_unique<TimingWheelQueue>();
+}
+
+class EventQueueContract : public ::testing::TestWithParam<Backend> {
  protected:
-  EventQueueContract() : q_(*(owned_ = make_event_queue(GetParam()))) {}
+  EventQueueContract() : q_(*(owned_ = make_queue(GetParam()))) {}
 
   std::unique_ptr<EventQueue> owned_;
   EventQueue& q_;
 };
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, EventQueueContract,
-                         ::testing::Values(QueueBackend::kBinaryHeap,
-                                           QueueBackend::kTimingWheel),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param)) == "wheel"
-                                      ? "Wheel"
-                                      : "Heap";
+                         ::testing::Values(Backend::kHeap, Backend::kWheel),
+                         [](const auto& param_info) {
+                           return param_info.param == Backend::kWheel ? "Wheel"
+                                                                      : "Heap";
                          });
 
 TEST_P(EventQueueContract, StartsEmpty) {
   EXPECT_TRUE(q_.empty());
   EXPECT_EQ(q_.size(), 0u);
-}
-
-TEST_P(EventQueueContract, ReportsBackend) {
-  EXPECT_EQ(q_.backend(), GetParam());
 }
 
 TEST_P(EventQueueContract, PopsInTimeOrder) {
@@ -284,21 +287,6 @@ TEST(BinaryHeapQueue, SchedulingStaysLiveAfterCompaction) {
   front.callback();
   EXPECT_TRUE(fired);
   EXPECT_EQ(front.time, 0);
-}
-
-TEST(EventQueueFactory, DefaultBackendIsWheel) {
-  // SPOTHOST_EVENT_QUEUE is unset in CI; the default must be the wheel.
-  if (std::getenv("SPOTHOST_EVENT_QUEUE") != nullptr) {
-    GTEST_SKIP() << "SPOTHOST_EVENT_QUEUE overrides the default";
-  }
-  EXPECT_EQ(default_queue_backend(), QueueBackend::kTimingWheel);
-}
-
-TEST(EventQueueFactory, MakesRequestedBackend) {
-  EXPECT_EQ(make_event_queue(QueueBackend::kBinaryHeap)->backend(),
-            QueueBackend::kBinaryHeap);
-  EXPECT_EQ(make_event_queue(QueueBackend::kTimingWheel)->backend(),
-            QueueBackend::kTimingWheel);
 }
 
 }  // namespace

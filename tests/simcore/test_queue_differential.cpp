@@ -1,9 +1,10 @@
 // Differential fuzz: the timing wheel and the binary heap must be
-// observationally identical. Both backends replay the same randomized
-// schedule/cancel/pop sequence; every pop must agree on (time, logical
-// event), every cancel on its return value, and the complete firing order
-// must match event for event. This is the determinism contract that lets
-// SPOTHOST_EVENT_QUEUE switch backends without disturbing golden traces.
+// observationally identical. Both queues replay the same randomized
+// schedule/cancel/pop sequence through the EventQueue interface; every pop
+// must agree on (time, logical event), every cancel on its return value, and
+// the complete firing order must match event for event. The heap is the
+// simple reference (binary_heap_queue.hpp, test-only); this agreement is
+// what lets the wheel be the only queue production code runs on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "binary_heap_queue.hpp"
 #include "simcore/event_queue.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/timing_wheel.hpp"
@@ -22,8 +24,8 @@ namespace {
 class QueuePair {
  public:
   QueuePair()
-      : heap_(make_event_queue(QueueBackend::kBinaryHeap)),
-        wheel_(make_event_queue(QueueBackend::kTimingWheel)) {}
+      : heap_(std::make_unique<BinaryHeapQueue>()),
+        wheel_(std::make_unique<TimingWheelQueue>()) {}
 
   void schedule(SimTime when) {
     const int logical = next_logical_++;

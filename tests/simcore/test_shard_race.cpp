@@ -89,12 +89,12 @@ std::uint64_t hammer(ShardedSimulation& eng, std::size_t shards,
 TEST(ShardRace, DenseWindowsOnAllPoolThreads) {
   exec::ThreadPool pool(4);
   constexpr std::size_t kShards = 8;
-  ShardedSimulation eng(kShards, default_queue_backend(), &pool);
+  ShardedSimulation eng(kShards, &pool);
   const std::uint64_t events = hammer(eng, kShards, 2 * kHour);
   EXPECT_GT(events, 0u);
   EXPECT_GT(eng.stats().windows, 0u);
   // Event count is a pure function of the workload — recompute serially.
-  ShardedSimulation serial(kShards, default_queue_backend(), &pool);
+  ShardedSimulation serial(kShards, &pool);
   EXPECT_EQ(hammer(serial, kShards, 2 * kHour), events);
 }
 
@@ -130,7 +130,7 @@ TEST(ShardRace, ConcurrentEnginesShareOnePool) {
   std::vector<std::thread> drivers;
   for (int d = 0; d < 2; ++d) {
     drivers.emplace_back([&pool, &counts, d] {
-      ShardedSimulation eng(kShards, default_queue_backend(), &pool);
+      ShardedSimulation eng(kShards, &pool);
       counts[d] = hammer(eng, kShards, kHour);
     });
   }

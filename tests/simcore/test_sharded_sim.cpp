@@ -4,11 +4,12 @@
 // callbacks are engine-agnostic — the same lambdas run on a plain
 // Simulation (all "lanes" are the one clock) and on ShardedSimulation(K)
 // (lanes are shard clocks) — and pin the recorded trace streams equal
-// across K ∈ {1, 2, 3, 8} and both queue backends.
+// across K ∈ {1, 2, 3, 8}.
 #include "simcore/sharded_sim.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -126,20 +127,23 @@ std::vector<TraceEvent> run_workload(
   return rec.events;
 }
 
-std::vector<TraceEvent> serial_reference(QueueBackend backend) {
-  Simulation serial(backend);
+std::vector<TraceEvent> serial_reference() {
+  Simulation serial;
   return run_workload(
       serial, [&serial](std::size_t) -> Clock& { return serial; }, kHorizon);
 }
 
-class ShardedByteIdentity : public ::testing::TestWithParam<QueueBackend> {};
+// One instance, named for the queue every lane runs on; the parameter keeps
+// the suite's test ids stable.
+enum class Queue : std::uint8_t { kWheel };
+
+class ShardedByteIdentity : public ::testing::TestWithParam<Queue> {};
 
 TEST_P(ShardedByteIdentity, MatchesSerialForEveryShardCount) {
-  const QueueBackend backend = GetParam();
-  const auto expected = serial_reference(backend);
+  const auto expected = serial_reference();
   ASSERT_FALSE(expected.empty());
   for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
-    ShardedSimulation eng(shards, backend);
+    ShardedSimulation eng(shards);
     const auto got = run_workload(
         eng,
         [&eng, shards](std::size_t i) -> Clock& {
@@ -152,9 +156,8 @@ TEST_P(ShardedByteIdentity, MatchesSerialForEveryShardCount) {
 }
 
 TEST_P(ShardedByteIdentity, SplitRunMatchesSingleRun) {
-  const QueueBackend backend = GetParam();
-  const auto expected = serial_reference(backend);
-  ShardedSimulation eng(4, backend);
+  const auto expected = serial_reference();
+  ShardedSimulation eng(4);
   const auto got = run_workload(
       eng,
       [&eng](std::size_t i) -> Clock& {
@@ -165,13 +168,8 @@ TEST_P(ShardedByteIdentity, SplitRunMatchesSingleRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ShardedByteIdentity,
-                         ::testing::Values(QueueBackend::kTimingWheel,
-                                           QueueBackend::kBinaryHeap),
-                         [](const auto& param_info) {
-                           return param_info.param == QueueBackend::kTimingWheel
-                                      ? "Wheel"
-                                      : "Heap";
-                         });
+                         ::testing::Values(Queue::kWheel),
+                         [](const auto&) { return "Wheel"; });
 
 TEST(ShardedSim, MailboxDeliveryIsKInvariant) {
   // The same logical post pattern must produce the same trace for every

@@ -81,16 +81,19 @@ TEST(Simulation, EventsCanScheduleAtSameTimestamp) {
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
 }
 
-TEST(Simulation, StepFiresExactlyOneEvent) {
+TEST(Simulation, NextTimeReportsEarliestPendingEvent) {
   Simulation s;
-  int count = 0;
-  s.at(10, [&] { ++count; });
-  s.at(20, [&] { ++count; });
-  EXPECT_TRUE(s.step());
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(s.now(), 10);
-  EXPECT_TRUE(s.step());
-  EXPECT_FALSE(s.step());
+  EXPECT_FALSE(s.next_time().has_value());
+  s.at(20, [] {});
+  EventHandle early = s.at(10, [] {});
+  EXPECT_EQ(s.next_time(), SimTime{10});
+  early.cancel();
+  EXPECT_EQ(s.next_time(), SimTime{20});
+  s.run_until(15);  // a peek never pulls an event forward
+  EXPECT_EQ(s.dispatched(), 0u);
+  s.run_until(20);
+  EXPECT_FALSE(s.next_time().has_value());
+  EXPECT_EQ(s.dispatched(), 1u);
 }
 
 TEST(Simulation, DispatchedCountsEvents) {
