@@ -39,10 +39,8 @@ int main() {
       {"us-east-1a", cloud::InstanceSize::kSmall},
       {"us-east-1b", cloud::InstanceSize::kSmall},
   };
-  // world.shard_router() pins the fleet onto shard lanes when the engine is
-  // sharded (SPOTHOST_SHARDS=K) — same bytes, K cores.
   sched::FleetScheduler fleet(world.clock(), world.provider(), fleet_cfg,
-                              world.rng(), world.shard_router());
+                              world.rng());
   fleet.start();
   world.engine().run_until(world.horizon());
   world.provider().finalize(world.horizon());

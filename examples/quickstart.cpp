@@ -5,7 +5,6 @@
 //
 // Walks through the three public-API steps: build a world, configure the
 // scheduler, run and read the metrics.
-#include <cstdlib>
 #include <iostream>
 
 #include "spothost.hpp"
@@ -13,7 +12,16 @@
 using namespace spothost;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  std::uint64_t seed = 42;
+  if (argc > 1) {
+    const auto parsed = exec::parse_u64(argv[1]);
+    if (!parsed) {
+      std::cerr << "error: seed must be a non-negative integer, got '" << argv[1]
+                << "'\nusage: quickstart [seed]\n";
+      return 2;
+    }
+    seed = *parsed;
+  }
 
   // 1. A simulated cloud: four regions x four instance sizes, 30 days of
   //    synthetic spot prices seeded deterministically.

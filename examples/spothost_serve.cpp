@@ -37,6 +37,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -56,6 +57,24 @@ namespace {
       "                      [--scope S] [--home REGION/SIZE] [--seed N]\n"
       "                      [--markets K1,K2,...] [--max-wall-s N] [--ticks]\n";
   std::exit(error.empty() ? 0 : 2);
+}
+
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+
+/// `text` as the value of integer flag `flag`, or a usage error naming it.
+int int_flag(const std::string& flag, const std::string& text, int lo, int hi) {
+  const auto n = exec::parse_int(text.c_str(), lo, hi);
+  if (!n) {
+    usage(flag + " must be an integer in [" + std::to_string(lo) + ", " +
+          std::to_string(hi) + "], got '" + text + "'");
+  }
+  return static_cast<int>(*n);
+}
+
+std::uint64_t seed_flag(const std::string& flag, const std::string& text) {
+  const auto n = exec::parse_u64(text.c_str());
+  if (!n) usage(flag + " must be a non-negative integer, got '" + text + "'");
+  return *n;
 }
 
 /// Forwards decision events to the JSONL sink, dropping the high-volume
@@ -185,9 +204,9 @@ int main(int argc, char** argv) {
     else if (arg == "--policy") policy = next();
     else if (arg == "--scope") scope = next();
     else if (arg == "--home") home_key = next();
-    else if (arg == "--seed") seed = std::strtoull(next().c_str(), nullptr, 10);
+    else if (arg == "--seed") seed = seed_flag(arg, next());
     else if (arg == "--markets") allowlist = split_csv(next());
-    else if (arg == "--max-wall-s") max_wall_s = std::atoi(next().c_str());
+    else if (arg == "--max-wall-s") max_wall_s = int_flag(arg, next(), 1, kMaxInt);
     else if (arg == "--ticks") include_ticks = true;
     else if (arg == "--help" || arg == "-h") usage();
     else usage("unknown option: " + arg);
@@ -202,7 +221,6 @@ int main(int argc, char** argv) {
     speed = std::atof(speed_arg.c_str());
     if (!(speed > 0)) usage("--speed must be > 0 or 'max'");
   }
-  if (max_wall_s <= 0) usage("--max-wall-s must be > 0");
 
   // --- output + tracer ---------------------------------------------------
   std::unique_ptr<obs::JsonlSink> jsonl;

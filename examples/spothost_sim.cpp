@@ -31,6 +31,22 @@ namespace {
   std::exit(error.empty() ? 0 : 2);
 }
 
+/// `text` as the value of integer flag `flag`, or a usage error naming it.
+int int_flag(const std::string& flag, const std::string& text, int lo, int hi) {
+  const auto n = exec::parse_int(text.c_str(), lo, hi);
+  if (!n) {
+    usage(flag + " must be an integer in [" + std::to_string(lo) + ", " +
+          std::to_string(hi) + "], got '" + text + "'");
+  }
+  return static_cast<int>(*n);
+}
+
+std::uint64_t seed_flag(const std::string& flag, const std::string& text) {
+  const auto n = exec::parse_u64(text.c_str());
+  if (!n) usage(flag + " must be a non-negative integer, got '" + text + "'");
+  return *n;
+}
+
 virt::MechanismCombo parse_combo(const std::string& s) {
   if (s == "ckpt") return virt::MechanismCombo::kCkpt;
   if (s == "ckpt-lr") return virt::MechanismCombo::kCkptLazy;
@@ -65,16 +81,15 @@ int main(int argc, char** argv) {
     else if (arg == "--policy") policy = next();
     else if (arg == "--scope") scope = next();
     else if (arg == "--combo") combo = parse_combo(next());
-    else if (arg == "--days") days = std::atoi(next().c_str());
-    else if (arg == "--seeds") seeds = std::atoi(next().c_str());
-    else if (arg == "--seed") base_seed = std::strtoull(next().c_str(), nullptr, 10);
+    else if (arg == "--days") days = int_flag(arg, next(), 1, 36500);
+    else if (arg == "--seeds") seeds = int_flag(arg, next(), 1, 1000000);
+    else if (arg == "--seed") base_seed = seed_flag(arg, next());
     else if (arg == "--bid") bid_multiple = std::atof(next().c_str());
     else if (arg == "--pessimistic") pessimistic = true;
     else if (arg == "--estimate") estimate = true;
     else if (arg == "--help" || arg == "-h") usage();
     else usage("unknown option: " + arg);
   }
-  if (days <= 0 || seeds <= 0) usage("days and seeds must be positive");
 
   cloud::MarketId home;
   try {

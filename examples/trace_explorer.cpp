@@ -170,12 +170,13 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::string(argv[1]) == "--timeline") {
     std::uint64_t seed = 42;
     if (argc > 2) {
-      char* end = nullptr;
-      seed = std::strtoull(argv[2], &end, 10);
-      if (end == argv[2] || *end != '\0') {
-        std::cerr << "seed must be an unsigned integer: " << argv[2] << "\n";
+      const auto parsed = exec::parse_u64(argv[2]);
+      if (!parsed) {
+        std::cerr << "error: --timeline seed must be a non-negative integer, got '"
+                  << argv[2] << "'\n";
         return 1;
       }
+      seed = *parsed;
     }
     std::optional<obs::EventKind> only;
     if (argc > 3) {

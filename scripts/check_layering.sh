@@ -2,11 +2,9 @@
 # Layering lint, three rules:
 #
 #  1. Everything below the experiment layer must depend only on the narrow
-#     sim::Clock interface (simcore/clock.hpp) — plus, for sharded routing,
-#     the sim::ShardRouter seam (simcore/shard_router.hpp) — never on a
-#     concrete simulation engine. Only the experiment/session layer
-#     (metrics/, live/ session wiring, examples, tests, benches) may include
-#     simulation.hpp or sharded_sim.hpp.
+#     sim::Clock interface (simcore/clock.hpp), never on the concrete
+#     simulation engine. Only the experiment/session layer (metrics/, live/
+#     session wiring, examples, tests, benches) may include simulation.hpp.
 #  2. Only simcore owns an event queue: no src/ file outside src/simcore/
 #     includes the queue contract, the timing wheel, or the event arena.
 #  3. Test-only code (the binary-heap oracle, fixtures) stays in tests/:
@@ -22,10 +20,10 @@ status=0
 
 for layer in src/sched src/virt src/cloud; do
   if matches=$(grep -rn --include='*.hpp' --include='*.cpp' -E \
-      "${include}.*simcore/(simulation|sharded_sim)\.hpp" \
+      "${include}.*simcore/simulation\.hpp" \
       "$layer" 2>/dev/null); then
-    echo "LAYERING VIOLATION: $layer must depend on sim::Clock (and at most" \
-         "the sim::ShardRouter seam), not a concrete engine:"
+    echo "LAYERING VIOLATION: $layer must depend on sim::Clock, not the" \
+         "concrete engine:"
     echo "$matches"
     status=1
   fi
@@ -57,7 +55,7 @@ fi
 
 if [ "$status" -eq 0 ]; then
   echo "layering OK: src/sched, src/virt, src/cloud depend only on" \
-       "sim::Clock + sim::ShardRouter; only src/simcore owns a queue;" \
+       "sim::Clock; only src/simcore owns a queue;" \
        "no test-only header outside tests/"
 fi
 exit "$status"

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 
 namespace spothost::exec {
@@ -16,14 +17,31 @@ void warn(const char* name, const char* value, long long fallback) {
 
 }  // namespace
 
+std::optional<long long> parse_int(const char* text, long long lo, long long hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(text, &end, 10);
+  if (end != text && *end == '\0' && errno == 0 && n >= lo && n <= hi) return n;
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> parse_u64(const char* text) {
+  // strtoull silently wraps "-1"; reject any minus sign outright.
+  if (std::strchr(text, '-') != nullptr) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(text, &end, 10);
+  if (end != text && *end == '\0' && errno == 0) {
+    return static_cast<std::uint64_t>(n);
+  }
+  return std::nullopt;
+}
+
 long long env_int(const char* name, long long fallback, long long lo,
                   long long hi) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long n = std::strtoll(v, &end, 10);
-  if (end != v && *end == '\0' && errno == 0 && n >= lo && n <= hi) return n;
+  if (const auto n = parse_int(v, lo, hi)) return *n;
   warn(name, v, fallback);
   return fallback;
 }
@@ -31,17 +49,7 @@ long long env_int(const char* name, long long fallback, long long lo,
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  // strtoull silently wraps "-1"; reject any minus sign outright.
-  bool negative = false;
-  for (const char* p = v; *p != '\0'; ++p) {
-    if (*p == '-') negative = true;
-  }
-  if (end != v && *end == '\0' && errno == 0 && !negative) {
-    return static_cast<std::uint64_t>(n);
-  }
+  if (const auto n = parse_u64(v)) return *n;
   warn(name, v, static_cast<long long>(fallback));
   return fallback;
 }

@@ -1,16 +1,26 @@
-// Validated environment-variable parsing for the runtime knobs
-// (SPOTHOST_RUNS, SPOTHOST_SEED, SPOTHOST_THREADS, ...).
+// Validated integer parsing for the runtime knobs (SPOTHOST_RUNS,
+// SPOTHOST_SEED, SPOTHOST_THREADS, ...) and the example CLIs' integer flags.
 //
-// All knobs share one policy: an unset variable silently yields the
-// fallback; a set-but-garbage value (trailing junk, sign errors, out of
-// range — everything strtol would half-accept) warns once on stderr and
-// yields the fallback, so a typo degrades a run instead of silently
-// changing its size.
+// One whole-string, range-checked parse backs both. Trailing junk, sign
+// errors and out-of-range values — everything atoi/strtol would
+// half-accept — are rejected. Env knobs share one policy on top of it: an
+// unset variable silently yields the fallback; a set-but-garbage value warns
+// once on stderr and yields the fallback, so a typo degrades a run instead
+// of silently changing its size. CLIs turn a rejection into a usage error
+// naming the flag.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 namespace spothost::exec {
+
+/// `text` parsed as a whole decimal integer in [lo, hi]; nullopt otherwise.
+std::optional<long long> parse_int(const char* text, long long lo, long long hi);
+
+/// `text` parsed as a whole non-negative decimal integer (full uint64
+/// range); nullopt otherwise, including for any minus sign.
+std::optional<std::uint64_t> parse_u64(const char* text);
 
 /// `name` parsed as a whole decimal integer in [lo, hi]. Unset -> fallback;
 /// set but invalid -> warning on stderr + fallback.

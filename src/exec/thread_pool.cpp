@@ -1,56 +1,11 @@
 #include "exec/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <stdexcept>
 
 #include "exec/env.hpp"
 
 namespace spothost::exec {
-
-namespace {
-
-// Shared state of one run_batch call. Heap-allocated and shared_ptr-held so
-// enqueued helper closures stay valid even if (pathologically) the batch
-// owner returns first — it cannot, the cv wait sees every task done, but the
-// workers' copies of the closure may outlive the wait by a moment.
-struct Batch {
-  const std::vector<std::function<void()>>* tasks = nullptr;
-  std::size_t count = 0;  // cached size — see run_one
-  std::atomic<std::size_t> next{0};   // claim cursor
-  std::mutex mu;                      // guards done/error below
-  std::condition_variable done_cv;
-  std::size_t done = 0;
-  std::size_t error_index = 0;
-  std::exception_ptr error;
-
-  // Claims and runs one unstarted task; false when none remain unclaimed.
-  // `tasks` is only dereferenced after winning a claim (i < count): an
-  // unclaimed task means done < count, so the batch owner is still inside
-  // run_batch and the borrowed vector is alive. A straggling helper that
-  // wakes after the owner returned loses the claim and touches only the
-  // shared_ptr-held Batch — never the (possibly destroyed) vector.
-  bool run_one() {
-    const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= count) return false;
-    std::exception_ptr err;
-    try {
-      (*tasks)[i]();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    if (err && (!error || i < error_index)) {
-      error = err;
-      error_index = i;
-    }
-    if (++done == count) done_cv.notify_all();
-    return true;
-  }
-};
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t n = std::max<std::size_t>(1, threads);
@@ -92,32 +47,6 @@ void ThreadPool::worker_loop() {
     }
     task();  // packaged_task captures any exception into its future
   }
-}
-
-void ThreadPool::run_batch(const std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
-  if (tasks.size() == 1) {
-    tasks.front()();  // nothing to overlap; skip the handshake entirely
-    return;
-  }
-  auto batch = std::make_shared<Batch>();
-  batch->tasks = &tasks;
-  batch->count = tasks.size();
-  // One helper per task beyond the first: the caller is guaranteed to run at
-  // least one task itself, and helpers that lose the claim race return
-  // immediately. Helpers loop so an early-arriving worker drains several
-  // tasks instead of one.
-  for (std::size_t i = 1; i < tasks.size(); ++i) {
-    enqueue([batch] {
-      while (batch->run_one()) {
-      }
-    });
-  }
-  while (batch->run_one()) {
-  }
-  std::unique_lock<std::mutex> lock(batch->mu);
-  batch->done_cv.wait(lock, [&] { return batch->done == tasks.size(); });
-  if (batch->error) std::rethrow_exception(batch->error);
 }
 
 std::size_t ThreadPool::default_thread_count() {

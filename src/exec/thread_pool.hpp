@@ -10,10 +10,7 @@
 //
 // Tasks must not block on other tasks of the same pool (a cell is one
 // self-contained simulation run); results and exceptions travel through the
-// std::future each submit() returns. The one sanctioned exception is
-// run_batch(): the caller participates in its own batch, claiming unstarted
-// tasks itself, so a batch issued from *inside* a pool task (a sweep cell
-// running a sharded simulation) completes even when every worker is busy.
+// std::future each submit() returns.
 #pragma once
 
 #include <condition_variable>
@@ -56,18 +53,6 @@ class ThreadPool {
     enqueue([task] { (*task)(); });
     return result;
   }
-
-  /// Runs every task in `tasks` and returns once all have finished. Workers
-  /// help with whatever they can pick up, but the *calling thread* claims
-  /// unstarted tasks too, so completion never depends on worker
-  /// availability: a run_batch issued from inside a pool task (nested
-  /// parallelism — e.g. a sweep cell driving a sharded engine's windows)
-  /// cannot deadlock, and a pool of 1 degrades to serial execution on the
-  /// caller. Tasks run concurrently in unspecified order; if any throw, the
-  /// first-by-index exception is rethrown after every task has finished.
-  /// Tasks are borrowed (not moved): the vector's callables are intact
-  /// afterwards and may be reused for the next batch.
-  void run_batch(const std::vector<std::function<void()>>& tasks);
 
   /// Worker count configured by the environment: SPOTHOST_THREADS if set and
   /// valid, else std::thread::hardware_concurrency() (min 1).

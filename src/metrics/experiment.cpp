@@ -81,10 +81,10 @@ sched::FleetMetrics run_fleet_scenario(const sched::Scenario& scenario,
                                        obs::RunProfile* profile) {
   sched::World world(scenario);
   // Tracer first: FleetScheduler::start() wires each service's availability
-  // events to its lane's tracer, resolved at start time.
+  // events to the engine's tracer, resolved at start time.
   if (tracer != nullptr) world.engine().set_tracer(tracer);
   sched::FleetScheduler fleet(world.clock(), world.provider(), config,
-                              world.rng(), world.shard_router());
+                              world.rng());
   fleet.start();
   {
     std::optional<obs::ProfileScope> scope;

@@ -47,13 +47,8 @@ RunMetrics run_hosting_scenario(
     obs::Tracer* tracer = nullptr, obs::RunProfile* profile = nullptr);
 
 /// One simulated month of FLEET hosting: `config.num_services` services in
-/// one world, sharing a MarketWatcher. When the scenario selects a sharded
-/// engine (Scenario::shards > 1, or 0 with SPOTHOST_SHARDS=K set), the
-/// fleet is pinned onto the engine's shard lanes (service i -> lane i % K)
-/// and per-service work runs inside parallel windows — byte-identical
-/// results either way (pinned by the fleet golden test). A non-null
-/// `tracer` observes the run; a non-null `profile` records dispatch
-/// throughput.
+/// one world, sharing a MarketWatcher. A non-null `tracer` observes the
+/// run; a non-null `profile` records dispatch throughput.
 sched::FleetMetrics run_fleet_scenario(const sched::Scenario& scenario,
                                        const sched::FleetConfig& config,
                                        obs::Tracer* tracer = nullptr,

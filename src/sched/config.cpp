@@ -27,9 +27,6 @@ Scenario normalized_scenario(Scenario scenario) {
   if (scenario.horizon <= 0) {
     throw std::invalid_argument("Scenario: horizon <= 0");
   }
-  if (scenario.shards < 0) {
-    throw std::invalid_argument("Scenario: shards < 0");
-  }
   if (scenario.regions.empty()) {
     for (const auto r : trace::canonical_regions()) {
       scenario.regions.emplace_back(r);
@@ -58,10 +55,7 @@ World::World(Scenario scenario, std::shared_ptr<const MarketTraceSet> traces,
   }
   traces_ = std::move(traces);
 
-  engine_ = engine != nullptr
-                ? std::move(engine)
-                : sim::make_simulation_engine(
-                      static_cast<std::size_t>(scenario_.shards));
+  engine_ = engine != nullptr ? std::move(engine) : sim::make_simulation_engine();
   // Always build and attach the injector — an empty plan makes zero draws,
   // so fault-free worlds behave identically with or without it.
   faults_ = std::make_unique<faults::FaultInjector>(*engine_, rng_factory_,

@@ -13,7 +13,6 @@
 #include "faults/injector.hpp"
 #include "simcore/engine.hpp"
 #include "simcore/rng.hpp"
-#include "simcore/shard_router.hpp"
 #include "trace/profiles.hpp"
 
 namespace spothost::sched {
@@ -36,14 +35,6 @@ struct Scenario {
   /// draws and emits zero events, so runs stay byte-identical to a build
   /// without the subsystem.
   faults::FaultPlan fault_plan{};
-  /// Shard lanes for the default engine: 0 = the SPOTHOST_SHARDS env knob
-  /// (which defaults to 1 = the plain serial Simulation), 1 = serial, K > 1
-  /// = the sharded engine with exactly K lanes. A sharded run is
-  /// byte-identical to the serial one (pinned by the golden tests), so this
-  /// is an execution choice, not a scenario parameter — it is deliberately
-  /// excluded from the trace-cache key. Ignored when a World is built over a
-  /// caller-supplied engine.
-  int shards = 0;
 };
 
 /// Allocation latencies per region family, from Table 1.
@@ -88,13 +79,6 @@ class World {
   [[nodiscard]] sim::Engine& engine() noexcept { return *engine_; }
   [[nodiscard]] const sim::Engine& engine() const noexcept { return *engine_; }
 
-  /// The sharding seam of this world's engine, or nullptr when the engine
-  /// is the plain serial Simulation (Scenario::shards <= 1). Pass to
-  /// FleetScheduler to pin services onto shard lanes; a nullptr keeps the
-  /// fleet on the global clock — same bytes either way.
-  [[nodiscard]] sim::ShardRouter* shard_router() noexcept {
-    return dynamic_cast<sim::ShardRouter*>(engine_.get());
-  }
   [[nodiscard]] cloud::CloudProvider& provider() noexcept { return *provider_; }
   [[nodiscard]] const cloud::CloudProvider& provider() const noexcept {
     return *provider_;

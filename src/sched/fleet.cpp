@@ -10,9 +10,9 @@ namespace spothost::sched {
 
 FleetScheduler::FleetScheduler(sim::Clock& clock,
                                cloud::CloudProvider& provider, FleetConfig config,
-                               const sim::RngFactory& rng_factory,
-                               sim::ShardRouter* router)
-    : provider_(provider),
+                               const sim::RngFactory& rng_factory)
+    : clock_(clock),
+      provider_(provider),
       watcher_(std::make_unique<MarketWatcher>(clock, provider)),
       services_(config.num_services > 0
                     ? static_cast<std::size_t>(config.num_services)
@@ -21,7 +21,6 @@ FleetScheduler::FleetScheduler(sim::Clock& clock,
   if (config.num_services <= 0) {
     throw std::invalid_argument("FleetScheduler: num_services must be > 0");
   }
-  if (router != nullptr) watcher_->bind_shards(*router);
   for (int i = 0; i < config.num_services; ++i) {
     SchedulerConfig cfg = config.service_template;
     if (config.stagger_placement) cfg.placement_salt = i;
@@ -37,22 +36,17 @@ FleetScheduler::FleetScheduler(sim::Clock& clock,
         clock, provider, *watcher_, service, std::move(cfg),
         rng_factory.stream("fleet-timing", static_cast<std::uint64_t>(i)));
     // Owner-tag every lease with the service index so the ledger pro-rates
-    // per owning service (metrics), in sharded and serial runs alike.
+    // per owning service (metrics).
     scheduler.set_owner_tag(static_cast<std::uint64_t>(i));
-    if (router != nullptr) {
-      scheduler.pin_to_shard(
-          *router, static_cast<std::size_t>(i) % router->shard_count());
-    }
   }
 }
 
 void FleetScheduler::start() {
+  // Availability transitions trace through the engine's tracer, wired at
+  // start() so a tracer attached after construction is seen.
+  obs::Tracer* tracer = clock_.tracer();
   for (std::size_t i = 0; i < schedulers_.size(); ++i) {
-    // Availability transitions trace through the lane the service lives on:
-    // the shard's buffering tracer when pinned (merged back in global order
-    // at window ends), the engine's tracer directly otherwise. Wired at
-    // start() so an engine tracer attached after construction is seen.
-    services_[i].set_tracer(schedulers_[i].lane_clock().tracer());
+    services_[i].set_tracer(tracer);
     schedulers_[i].start();
   }
 }

@@ -64,19 +64,11 @@ class FleetScheduler {
  public:
   /// Builds `config.num_services` services and schedulers against the
   /// provider. Call start() before running the simulation and finalize()
-  /// after; then read metrics().
-  ///
-  /// `router` (optional) pins the fleet onto shard lanes: service i goes to
-  /// lane i % shard_count() — the watcher pre-screens its price triggers on
-  /// that lane and its service-local timers run there, inside parallel
-  /// windows (World::shard_router() supplies the router when
-  /// Scenario::shards > 1; passing nullptr keeps everything on `clock`,
-  /// byte-identical either way). Every scheduler is owner-tagged with its
+  /// after; then read metrics(). Every scheduler is owner-tagged with its
   /// service index so metrics() can pro-rate each lease by the owning
   /// service's capacity need.
   FleetScheduler(sim::Clock& clock, cloud::CloudProvider& provider,
-                 FleetConfig config, const sim::RngFactory& rng_factory,
-                 sim::ShardRouter* router = nullptr);
+                 FleetConfig config, const sim::RngFactory& rng_factory);
 
   void start();
   void finalize(sim::SimTime horizon);
@@ -92,6 +84,7 @@ class FleetScheduler {
   [[nodiscard]] const MarketWatcher& watcher() const noexcept { return *watcher_; }
 
  private:
+  sim::Clock& clock_;
   cloud::CloudProvider& provider_;
   // Destruction order (reverse of declaration): schedulers first — they
   // deregister from the watcher and reference their service — then the

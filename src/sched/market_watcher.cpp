@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 namespace spothost::sched {
 
@@ -20,7 +19,6 @@ MarketWatcher::ListenerId MarketWatcher::add_listener(TriggerListener* listener)
     throw std::invalid_argument("MarketWatcher::add_listener: null listener");
   }
   listeners_.push_back(listener);
-  shard_of_.push_back(kNoShard);
   ++live_listeners_;
   return static_cast<ListenerId>(listeners_.size());
 }
@@ -50,10 +48,6 @@ void MarketWatcher::watch(ListenerId id, const std::vector<cloud::MarketId>& mar
 }
 
 sim::EventHandle MarketWatcher::schedule_hour_tick(ListenerId id, sim::SimTime at) {
-  // Always the global clock, also for pinned listeners: hour checks reach
-  // the provider, and holders cancel these handles from serial-phase paths
-  // — a shard-clock handle would make either side an illegal cross-lane
-  // operation (see the header comment).
   return clock_.at(at, [this, id] {
     Trigger trigger;
     trigger.kind = TriggerKind::kHourBoundary;
@@ -72,26 +66,6 @@ void MarketWatcher::arm_revocation(ListenerId id, cloud::InstanceId instance) {
       });
 }
 
-void MarketWatcher::bind_shards(sim::ShardRouter& router) {
-  if (router_ != nullptr) {
-    throw std::logic_error("MarketWatcher::bind_shards: already bound");
-  }
-  router_ = &router;
-  stage_.resize(1);
-  stage_[0].shard_idx.resize(router.shard_count());
-}
-
-void MarketWatcher::assign_shard(ListenerId id, std::size_t shard) {
-  if (router_ == nullptr) {
-    throw std::logic_error("MarketWatcher::assign_shard: bind_shards first");
-  }
-  if (shard >= router_->shard_count()) {
-    throw std::out_of_range("MarketWatcher::assign_shard: shard out of range");
-  }
-  if (!alive(id)) return;
-  shard_of_[static_cast<std::size_t>(id - 1)] = static_cast<std::uint32_t>(shard);
-}
-
 void MarketWatcher::on_price_change(const cloud::MarketId& market, double new_price) {
   const auto it = interest_.find(market);
   if (it == interest_.end()) return;
@@ -101,83 +75,20 @@ void MarketWatcher::on_price_change(const cloud::MarketId& market, double new_pr
   trigger.price = new_price;
   // Iteration is by index with the length captured up front: a handler may
   // watch() (grows the same vector — appendees are not part of this step),
-  // remove_listener (tombstones — skipped by deliver), or add_listener, all
-  // without invalidating the iteration. No snapshot; each dispatch depth
-  // owns its own stage scratch, so a reentrant dispatch from a handler
-  // cannot clobber the outer pass's entries.
-  const auto depth = static_cast<std::size_t>(dispatch_depth_);
+  // remove_listener (tombstones — skipped here), add_listener, or push
+  // another price step reentrantly, all without invalidating the iteration.
+  // No snapshot.
   ++dispatch_depth_;
   auto& ids = it->second;
   std::size_t dead = 0;
   const std::size_t count = ids.size();
-  if (router_ == nullptr) {
-    // Serial engine: one inline pass in registration order.
-    for (std::size_t i = 0; i < count; ++i) {
-      const ListenerId id = ids[i];
-      if (!alive(id)) {
-        ++dead;
-        continue;
-      }
-      listeners_[static_cast<std::size_t>(id - 1)]->on_trigger(trigger);
+  for (std::size_t i = 0; i < count; ++i) {
+    const ListenerId id = ids[i];
+    if (!alive(id)) {
+      ++dead;
+      continue;
     }
-  } else {
-    // Sharded engine, pass 1: collect pinned listeners (in interest order)
-    // for the parallel pre-screen. Unpinned listeners are handled in the
-    // delivery pass only.
-    if (stage_.size() <= depth) stage_.resize(depth + 1);
-    StageScratch& scratch = stage_[depth];
-    scratch.entries.clear();
-    scratch.shard_idx.resize(router_->shard_count());
-    for (auto& idx : scratch.shard_idx) idx.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      const ListenerId id = ids[i];
-      if (!alive(id)) continue;
-      const std::uint32_t shard = shard_of_[static_cast<std::size_t>(id - 1)];
-      if (shard == kNoShard) continue;
-      scratch.shard_idx[shard].push_back(
-          static_cast<std::uint32_t>(scratch.entries.size()));
-      scratch.entries.push_back(StageEntry{
-          i, listeners_[static_cast<std::size_t>(id - 1)], std::uint8_t{1}});
-    }
-    // Stage: each shard evaluates its own listeners' wants_trigger in
-    // parallel. Entries are disjoint across shards and the watcher is not
-    // mutated until run_stage returns, so the only shared reads are frozen
-    // tick state. run_stage is synchronous — capturing locals is safe.
-    if (!scratch.entries.empty()) {
-      std::vector<sim::Callback> tasks(router_->shard_count());
-      for (std::size_t s = 0; s < tasks.size(); ++s) {
-        if (scratch.shard_idx[s].empty()) continue;
-        tasks[s] = [&scratch, &trigger, s] {
-          for (const std::uint32_t e : scratch.shard_idx[s]) {
-            StageEntry& entry = scratch.entries[e];
-            entry.want = entry.listener->wants_trigger(trigger) ? 1 : 0;
-          }
-        };
-      }
-      router_->run_stage(std::move(tasks));
-    }
-    // Pass 2: deliver serially in registration order — the exact serial
-    // interleaving of pinned and unpinned listeners — skipping pinned
-    // listeners whose pre-screen declined (their on_trigger is by contract
-    // a no-op, so skipping changes no bytes). The cursor re-matches pass-1
-    // entries by interest index, so reentrant mutation between the passes
-    // (there is none today — run_stage tasks cannot touch the watcher)
-    // or during delivery cannot misalign the verdicts.
-    std::size_t cursor = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const ListenerId id = ids[i];
-      if (cursor < scratch.entries.size() && scratch.entries[cursor].index == i) {
-        const bool want = scratch.entries[cursor].want != 0;
-        ++cursor;
-        if (want) deliver(id, trigger);
-        continue;
-      }
-      if (!alive(id)) {
-        ++dead;
-        continue;
-      }
-      listeners_[static_cast<std::size_t>(id - 1)]->on_trigger(trigger);
-    }
+    listeners_[static_cast<std::size_t>(id - 1)]->on_trigger(trigger);
   }
   --dispatch_depth_;
   // Sweep tombstones once they dominate, but never under a reentrant

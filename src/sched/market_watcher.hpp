@@ -26,32 +26,15 @@
 // only between dispatches. Listeners within one market fire in registration
 // order; identical registration order yields identical dispatch order,
 // every run.
-//
-// Sharded runs (simcore/sharded_sim.hpp): bind_shards() attaches a
-// ShardRouter and assign_shard() pins a listener to a shard lane. A price
-// step then runs in two passes: a parallel *stage* evaluates every pinned
-// listener's wants_trigger() on its own shard lane
-// (ShardRouter::run_stage), and the serial delivery pass invokes
-// on_trigger, in registration order, only where the stage said the trigger
-// matters (unpinned listeners are always delivered inline). A declined
-// trigger is by contract a complete no-op, so delivery order, state, and
-// trace bytes are identical to the serial engine, while the predicate
-// evaluation — the O(listeners x ticks) fleet-scale term — runs across
-// shard lanes. Hour ticks and revocations stay on the global clock in the
-// serial phase: both may talk to the provider, which is global-lane state.
-// register/watch/arm/assign calls are serial-phase operations — never call
-// them from a window callback or a stage task.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "cloud/provider.hpp"
 #include "simcore/clock.hpp"
-#include "simcore/shard_router.hpp"
 
 namespace spothost::sched {
 
@@ -66,18 +49,10 @@ class CrossingDetector {
   enum class Edge { kNone, kUp, kDown };
 
   Edge observe(bool above) noexcept {
-    const bool crossed = would_edge(above);
+    const bool crossed = above_ ? *above_ != above : above;
     above_ = above;
     if (!crossed) return Edge::kNone;
     return above ? Edge::kUp : Edge::kDown;
-  }
-
-  /// Whether observe(above) WOULD report an edge, without recording the
-  /// observation — the side-effect-free form pre-screens (wants_trigger)
-  /// need. Note an unobserved detector treats `above == false` as steady
-  /// state, same as observe().
-  [[nodiscard]] bool would_edge(bool above) const noexcept {
-    return above_ ? *above_ != above : above;
   }
 
   void reset() noexcept { above_.reset(); }
@@ -111,29 +86,13 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
     ///  * Delivery is synchronous, inside the provider/simulation event that
     ///    caused it — the callback observes the world exactly as the trigger
     ///    left it, and may issue provider requests or (un)register listeners
-    ///    reentrantly (dispatch tolerates mid-pass mutation). Exception:
-    ///    listeners pinned to a shard receive price triggers at the head of
-    ///    the next parallel window instead (see the class comment).
+    ///    reentrantly (dispatch tolerates mid-pass mutation).
     ///  * Listeners sharing a market fire in registration (ListenerId)
     ///    order; same registrations, same dispatch order, every run.
     ///  * The listener object must stay valid until remove_listener
     ///    returns; after that no further triggers are delivered, including
     ///    to recipients the in-flight dispatch has not reached yet.
     virtual void on_trigger(const Trigger& trigger) = 0;
-
-    /// Pre-screen, consulted for shard-pinned listeners only: runs on the
-    /// listener's shard lane, in parallel with other shards, before the
-    /// serial delivery pass. Return false iff on_trigger(trigger) would be
-    /// a complete no-op (no state change, no provider call, no trace) so
-    /// delivery can skip the listener without changing any observable
-    /// behavior. Must be const-pure (a run_stage task: no scheduling, no
-    /// tracing) and read only shard-local state plus shared state frozen
-    /// for the tick, e.g. market prices. Returning true when on_trigger
-    /// would no-op is always safe — merely unparallel.
-    [[nodiscard]] virtual bool wants_trigger(const Trigger& trigger) const {
-      (void)trigger;
-      return true;
-    }
   };
 
   MarketWatcher(sim::Clock& clock, cloud::CloudProvider& provider);
@@ -152,14 +111,8 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// in a market, once, no matter how many listeners watch it afterwards.
   void watch(ListenerId id, const std::vector<cloud::MarketId>& markets);
 
-  /// Schedules a kHourBoundary trigger for `id` at absolute time `at`, on
-  /// the GLOBAL clock — also for shard-pinned listeners. Returns the event
-  /// handle — cancel through it. Hour checks may talk to the provider
-  /// (billing-hour boundaries are global-lane state), and holders cancel
-  /// these handles from serial-phase code paths; a handle minted on a shard
-  /// clock would make that cancel an illegal cross-lane operation under the
-  /// DESIGN.md §9.2 window rules (the sharded engine throws). Keeping the
-  /// tick global makes both sides legal by construction.
+  /// Schedules a kHourBoundary trigger for `id` at absolute time `at`.
+  /// Returns the event handle — cancel through it.
   sim::EventHandle schedule_hour_tick(ListenerId id, sim::SimTime at);
 
   /// Routes the provider's revocation warning for `instance` to `id` as a
@@ -171,21 +124,7 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// instant itself (kWarningDropped) — still strictly before the instance
   /// is torn down, but possibly with `t_term == now`. Listeners must not
   /// assume the full grace window is left when the trigger fires.
-  /// Revocation triggers are always delivered synchronously in the serial
-  /// phase, even for shard-pinned listeners — a revocation reply talks to
-  /// the provider, which is global-lane state.
   void arm_revocation(ListenerId id, cloud::InstanceId instance);
-
-  /// Attaches the sharded engine's router. Call once, before any
-  /// assign_shard. Serial runs never call this and keep the inline path.
-  void bind_shards(sim::ShardRouter& router);
-
-  /// Pins `id` to `shard`: its price triggers are pre-screened by
-  /// wants_trigger() on that shard's lane before the serial delivery pass.
-  /// Requires bind_shards() first; `shard` must be < router.shard_count().
-  /// Pinning is a statement that the listener's wants_trigger touches only
-  /// shard-local and frozen-shared state.
-  void assign_shard(ListenerId id, std::size_t shard);
 
   /// Provider-side price-feed subscriptions this watcher holds — bounded by
   /// the market count, never by the listener count.
@@ -198,8 +137,6 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   }
 
  private:
-  inline static constexpr std::uint32_t kNoShard = 0xffffffffu;
-
   [[nodiscard]] bool alive(ListenerId id) const noexcept {
     return id != kInvalidListener && id <= listeners_.size() &&
            listeners_[static_cast<std::size_t>(id - 1)] != nullptr;
@@ -216,10 +153,6 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// Dense listener table indexed by id-1; a removed listener leaves a
   /// null slot (ids are never reused, so no generation counter is needed).
   std::vector<TriggerListener*> listeners_;
-  /// Shard pin per listener slot, kNoShard = inline delivery. Parallel to
-  /// listeners_. Only read concurrently (window-side deliver); mutated in
-  /// serial phase only.
-  std::vector<std::uint32_t> shard_of_;
   std::size_t live_listeners_ = 0;
   /// Per-market listener ids, in registration order. May contain tombstoned
   /// ids between sweeps; dispatch skips them.
@@ -231,32 +164,6 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// Depth of in-flight price dispatches; interest lists are swept only at
   /// depth zero so index-based iteration never sees entries shift.
   int dispatch_depth_ = 0;
-  /// Sharded-run routing (nullptr in serial runs — the common case).
-  sim::ShardRouter* router_ = nullptr;
-  /// One pinned listener collected by the pre-pass of a sharded price
-  /// dispatch. `index` is the listener's interest-list position, so the
-  /// delivery pass can re-walk the list in registration order and match
-  /// entries even if a reentrant handler mutates listener state between
-  /// collection and delivery. `want` is written by exactly one stage task
-  /// (the entry's shard) — entries are disjoint across shards, so the
-  /// parallel stage is race-free.
-  struct StageEntry {
-    std::size_t index;
-    TriggerListener* listener;
-    std::uint8_t want;
-  };
-  /// Stage scratch, indexed by dispatch depth: a listener's on_trigger may
-  /// reentrantly dispatch another price change, and the nested pass must
-  /// not touch the outer pass's entries. `shard_idx[s]` holds indices into
-  /// `entries` for shard s's stage task.
-  struct StageScratch {
-    std::vector<StageEntry> entries;
-    std::vector<std::vector<std::uint32_t>> shard_idx;
-  };
-  /// Deque, not vector: a reentrant dispatch grows this by one depth while
-  /// the outer pass still holds a reference to its own scratch — deque
-  /// growth leaves existing elements' addresses stable.
-  std::deque<StageScratch> stage_;
 };
 
 }  // namespace spothost::sched

@@ -43,7 +43,6 @@ MigrationEngine::MigrationEngine(sim::Clock& clock,
                                  MigrationHost& host, const SchedulerConfig& config,
                                  const virt::VmSpec& spec, sim::RngStream& timing_rng)
     : clock_(clock),
-      lane_clock_(&clock),
       provider_(provider),
       service_(service),
       host_(host),
@@ -227,20 +226,12 @@ void MigrationEngine::complete_switchover() {
 
   if (downtime > 0 && service_.is_up()) {
     service_.begin_outage(clock_.now(), cause);
-    const SimTime up_at = clock_.now() + downtime;
-    // Service-local timeline: the outage end (and its degraded tail) touch
-    // only the service, so in a pinned fleet they run on the shard lane,
-    // inside parallel windows. Absolute times, and now() read back from the
-    // lane clock — the global clock lags inside a window. The nested
-    // schedule runs on the lane's own clock from its own window: legal, and
-    // after() is correct there (lane now == the firing time).
-    lane_clock_->at(up_at, [this, degraded] {
+    clock_.after(downtime, [this, degraded] {
       if (forced_) return;  // a forced flow took over mid-switchover
       if (!service_.is_up()) {
-        service_.end_outage(lane_clock_->now(), degraded > 0);
+        service_.end_outage(clock_.now(), degraded > 0);
         if (degraded > 0) {
-          lane_clock_->after(
-              degraded, [this] { service_.end_degraded(lane_clock_->now()); });
+          clock_.after(degraded, [this] { service_.end_degraded(clock_.now()); });
         }
       }
     });
@@ -438,10 +429,7 @@ void MigrationEngine::forced_try_resume() {
     if (!service_.is_up()) {
       service_.end_outage(clock_.now(), degraded > 0);
       if (degraded > 0) {
-        // Service-local tail of a global-lane callback: absolute time (the
-        // lane clock may lag here), then lane-resident execution.
-        lane_clock_->at(clock_.now() + degraded,
-                        [this] { service_.end_degraded(lane_clock_->now()); });
+        clock_.after(degraded, [this] { service_.end_degraded(clock_.now()); });
       }
     }
     const auto& inst = provider_.instance(f.dest);

@@ -147,13 +147,6 @@ class MigrationEngine {
   /// drawn from the host's timing stream.
   [[nodiscard]] sim::SimTime jittered(double seconds);
 
-  /// Moves the engine's service-local timers (outage end at switchover
-  /// downtime, degraded-window ends) onto `lane` — a shard clock in pinned
-  /// fleet runs (CloudScheduler::pin_to_shard calls this). Everything that
-  /// touches the provider, the trace pipeline, or the shared timing RNG
-  /// stays on the construction clock. Serial-phase setup only.
-  void bind_lane(sim::Clock& lane) noexcept { lane_clock_ = &lane; }
-
   /// Owner tag applied to every destination instance the engine requests
   /// from now on (cloud::CloudProvider::set_instance_owner).
   void set_owner_tag(std::uint64_t owner) noexcept { owner_ = owner; }
@@ -193,10 +186,6 @@ class MigrationEngine {
   void on_forced_dest_failed();
 
   sim::Clock& clock_;
-  /// Where bind_lane routes service-local timers; &clock_ until then.
-  /// Callbacks scheduled here read lane_clock_->now() — inside a parallel
-  /// window the global clock still shows the previous barrier.
-  sim::Clock* lane_clock_;
   cloud::CloudProvider& provider_;
   workload::ServiceEndpoint& service_;
   MigrationHost& host_;

@@ -59,7 +59,6 @@ CloudScheduler::CloudScheduler(sim::Clock& clock,
                                workload::ServiceEndpoint& service,
                                SchedulerConfig config, sim::RngStream timing_rng)
     : clock_(clock),
-      lane_clock_(&clock),
       provider_(provider),
       service_(service),
       config_(std::move(config)),
@@ -92,12 +91,6 @@ CloudScheduler::~CloudScheduler() {
   if (listener_ != MarketWatcher::kInvalidListener) {
     watcher_.remove_listener(listener_);
   }
-}
-
-void CloudScheduler::pin_to_shard(sim::ShardRouter& router, std::size_t shard) {
-  lane_clock_ = &router.shard_clock(shard);
-  engine_->bind_lane(*lane_clock_);
-  watcher_.assign_shard(listener_, shard);
 }
 
 void CloudScheduler::set_owner_tag(std::uint64_t owner) {
@@ -184,41 +177,6 @@ void CloudScheduler::on_trigger(const MarketWatcher::Trigger& trigger) {
       on_revocation_warning(trigger.instance, trigger.t_term);
       break;
   }
-}
-
-bool CloudScheduler::wants_trigger(const MarketWatcher::Trigger& trigger) const {
-  // Mirror of on_price_change, early return by early return: `false` here
-  // asserts the delivery would be a complete no-op. Hour and revocation
-  // triggers always carry work (and are never staged — see the watcher).
-  if (trigger.kind != MarketWatcher::TriggerKind::kPriceChange) return true;
-  if (engine_->forced_active()) return false;
-  if (!config_.on_demand_allowed() &&
-      (state_ == State::kDown || state_ == State::kAcquiring)) {
-    // pure_spot_reacquire: acts only when no request is pending and the
-    // home market has dipped back to the standing bid (bid_for is
-    // const-pure by the BidStrategy contract).
-    if (pending_acquire_ != cloud::kInvalidInstance) return false;
-    const cloud::MarketId& home = config_.home_market;
-    return provider_.price(home) <=
-           bidding_->bid_for(provider_, config_, home, clock_.now());
-  }
-  if (state_ != State::kOnSpot || !holding_ || trigger.market != holding_->market) {
-    return false;
-  }
-  if (!bidding_->plans_migrations(config_) || !config_.on_demand_allowed()) {
-    return false;
-  }
-  const double eff =
-      effective_spot_price(provider_, trigger.market, units_needed());
-  const bool above = eff > od_threshold();
-  if (above) return true;                      // plans (or re-checks) a move
-  if (crossing_.would_edge(above)) return true;  // kDown crossing trace
-  if (planned_begin_event_.valid()) return true; // cancel pending planned
-  if (engine_->voluntary_class() == virt::MigrationClass::kPlanned &&
-      !engine_->transfer_started() && config_.cancel_planned_on_price_drop) {
-    return true;  // abandon the in-flight planned move
-  }
-  return false;
 }
 
 void CloudScheduler::acquire_initial() {
@@ -494,14 +452,9 @@ void CloudScheduler::on_revocation_warning(InstanceId instance, SimTime t_term) 
                                 holding_->market.region, holding_->market.region);
     const SimTime t_stop = std::max(clock_.now(),
                                     t_term - sim::from_seconds(timings.flush_s));
-    // Service-local: in a pinned fleet the outage bookkeeping runs on the
-    // shard lane (inside a parallel window), so read the lane clock — the
-    // global clock lags inside a window. t_term stays global: it drives
-    // reacquisition through the provider.
-    lane_clock_->at(t_stop, [this] {
+    clock_.at(t_stop, [this] {
       if (service_.is_up()) {
-        service_.begin_outage(lane_clock_->now(),
-                              workload::OutageCause::kSpotLoss);
+        service_.begin_outage(clock_.now(), workload::OutageCause::kSpotLoss);
       }
     });
     clock_.at(t_term, [this] {
@@ -562,11 +515,8 @@ void CloudScheduler::pure_spot_reacquire() {
           if (!service_.is_up()) {
             service_.end_outage(clock_.now(), degraded > 0);
             if (degraded > 0) {
-              // Service-local tail of a global-lane callback: absolute time
-              // (the lane clock may lag here), lane-resident execution.
-              lane_clock_->at(clock_.now() + degraded, [this] {
-                service_.end_degraded(lane_clock_->now());
-              });
+              clock_.after(degraded,
+                           [this] { service_.end_degraded(clock_.now()); });
             }
           }
           adopt(iid, home, /*on_demand=*/false);

@@ -95,21 +95,6 @@ class CloudScheduler : private MigrationHost,
   /// override) — the basis for effective-price packing and attribution.
   [[nodiscard]] int units_needed() const;
 
-  /// Pins this scheduler's shard-eligible work to `shard` of `router`:
-  /// price triggers are pre-screened by wants_trigger() on that lane
-  /// (MarketWatcher::assign_shard) and the service-local timers — outage
-  /// begin at a revocation deadline, degraded-mode ends — move to the
-  /// shard's clock so they execute inside parallel windows. Everything
-  /// that touches the provider (requests, adoption, retries, hour checks)
-  /// stays on the global clock; see DESIGN.md §9.2 for the full table.
-  /// Serial-phase setup only; the watcher must be bound to the same router
-  /// first (FleetScheduler does both).
-  void pin_to_shard(sim::ShardRouter& router, std::size_t shard);
-
-  /// The clock shard-eligible timers run on: the pinned shard's clock, or
-  /// the global clock when unpinned (then identical to the ctor's clock).
-  [[nodiscard]] sim::Clock& lane_clock() const noexcept { return *lane_clock_; }
-
   /// Tags every instance this scheduler acquires from now on with `owner`
   /// in the provider's billing ledger, so fleet cost attribution can
   /// pro-rate each lease by the owning service's capacity need.
@@ -131,12 +116,6 @@ class CloudScheduler : private MigrationHost,
   /// MarketWatcher::TriggerListener — direct interface delivery; no
   /// per-scheduler std::function on the price-tick path.
   void on_trigger(const MarketWatcher::Trigger& trigger) override;
-  /// Shard-lane pre-screen: true iff on_trigger(trigger) would do work.
-  /// Mirrors on_price_change's no-op enumeration exactly — every early
-  /// return there must map to `false` here (over-reporting true is safe,
-  /// merely unparallel). Const-pure: reads scheduler state and frozen
-  /// market prices only.
-  [[nodiscard]] bool wants_trigger(const MarketWatcher::Trigger& trigger) const override;
   void on_price_change(const cloud::MarketId& market, double new_price);
   void on_hour_check();
 
@@ -187,11 +166,6 @@ class CloudScheduler : private MigrationHost,
                                             std::uint8_t code) const override;
 
   sim::Clock& clock_;
-  /// Where shard-eligible timers land: &clock_ until pin_to_shard installs
-  /// the shard's clock. Callbacks scheduled here must read lane_clock_->
-  /// now(), not clock_.now() — inside a window the global clock still shows
-  /// the previous barrier.
-  sim::Clock* lane_clock_;
   cloud::CloudProvider& provider_;
   workload::ServiceEndpoint& service_;
   SchedulerConfig config_;

@@ -52,17 +52,10 @@ class Engine : public Clock {
   virtual void set_fault_injector(faults::FaultInjector* injector) noexcept = 0;
 };
 
-/// Constructs the default simulation engine behind the Engine interface,
-/// honouring SPOTHOST_SHARDS (> 1 selects the sharded engine,
-/// simcore/sharded_sim.hpp; the sharded run is byte-identical to the serial
-/// one). Lets engine-agnostic code (sched::World) build the
-/// default engine without including simulation.hpp — the layering lint
-/// forbids that below the experiment layer.
+/// Constructs the simulation engine (a sim::Simulation) behind the Engine
+/// interface. Lets engine-agnostic code (sched::World) build it without
+/// including simulation.hpp — the layering lint forbids that below the
+/// experiment layer.
 [[nodiscard]] std::unique_ptr<Engine> make_simulation_engine();
-
-/// Same, with explicit shard selection: 0 = the SPOTHOST_SHARDS default,
-/// 1 = plain serial Simulation, K > 1 = the sharded engine with exactly K
-/// shard lanes (an explicit program choice is not hardware-clamped).
-[[nodiscard]] std::unique_ptr<Engine> make_simulation_engine(std::size_t shards);
 
 }  // namespace spothost::sim

@@ -6,8 +6,8 @@
 //   * TimingWheelQueue (simcore/timing_wheel.hpp) — hierarchical timing
 //     wheel, O(1) schedule/cancel/pop for the massively periodic hour-tick
 //     and poll events that dominate fleet runs. The only production queue:
-//     Simulation and every ShardedSimulation lane hold one by value, so the
-//     dispatch loop makes no virtual queue call.
+//     Simulation holds one by value, so the dispatch loop makes no virtual
+//     queue call.
 //   * the binary heap (tests/simcore/binary_heap_queue.hpp) — the classic
 //     O(log n) heap, built only into the tests as the differential oracle.
 //

@@ -39,8 +39,13 @@ double RngStream::exponential(double mean) {
 }
 
 double RngStream::normal(double mean, double stddev) {
-  std::normal_distribution<double> d(mean, stddev);
-  return d(engine_);
+  if (stddev < 0) throw std::invalid_argument("normal: stddev must be >= 0");
+  // std::normal_distribution requires stddev > 0, so scale a standard draw
+  // by hand. libstdc++ applies the same z * stddev + mean internally, so
+  // values and engine consumption are unchanged, and stddev = 0 still draws:
+  // skipping the draw would shift every later value of the stream.
+  std::normal_distribution<double> standard;
+  return standard(engine_) * stddev + mean;
 }
 
 double RngStream::lognormal_mean_cv(double mean, double cv) {

@@ -1,9 +1,8 @@
 #include "simcore/simulation.hpp"
 
 #include <limits>
+#include <memory>
 #include <stdexcept>
-
-#include "simcore/sharded_sim.hpp"
 
 namespace spothost::sim {
 
@@ -34,9 +33,7 @@ void Simulation::run_until(SimTime horizon) {
 }
 
 std::unique_ptr<Engine> make_simulation_engine() {
-  // 0 = "ask the environment": SPOTHOST_SHARDS selects the sharded engine,
-  // defaulting to 1 — the plain serial Simulation, byte-transparent.
-  return make_simulation_engine(0);
+  return std::make_unique<Simulation>();
 }
 
 }  // namespace spothost::sim

@@ -15,8 +15,7 @@
 // run_until() is the one serial dispatch loop: live::WallClock paces a
 // Simulation it owns (sleeping on next_time(), then calling run_until() with
 // the wall-mapped time), so simulated and wall-time runs dispatch through
-// the same code. Only the sharded engine's lanes (simcore/sharded_sim.cpp)
-// pop events anywhere else.
+// the same code.
 //
 // Policy code should not depend on this class: it programs against the
 // narrow sim::Clock interface (simcore/clock.hpp) that Simulation

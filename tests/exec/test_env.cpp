@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 
 namespace spothost::exec {
 namespace {
@@ -66,6 +67,37 @@ TEST_F(EnvParse, U64AcceptsFullRange) {
   EXPECT_EQ(env_u64(kVar, 42u), 18446744073709551615ull);
   set("18446744073709551616");  // one past UINT64_MAX
   EXPECT_EQ(env_u64(kVar, 42u), 42u);
+}
+
+// The parse the CLIs' integer flags use directly.
+TEST(ParseInt, AcceptsWholeInRangeIntegers) {
+  EXPECT_EQ(parse_int("30", 1, 36500), 30);
+  EXPECT_EQ(parse_int("1", 1, 36500), 1);
+  EXPECT_EQ(parse_int("36500", 1, 36500), 36500);
+  EXPECT_EQ(parse_int("-5", -10, 10), -5);
+}
+
+TEST(ParseInt, RejectsJunkAndOutOfRange) {
+  EXPECT_EQ(parse_int("3x", 1, 100), std::nullopt);  // atoi would say 3
+  EXPECT_EQ(parse_int("", 1, 100), std::nullopt);
+  EXPECT_EQ(parse_int("x3", 1, 100), std::nullopt);
+  EXPECT_EQ(parse_int("0", 1, 100), std::nullopt);
+  EXPECT_EQ(parse_int("-1", 1, 100), std::nullopt);
+  EXPECT_EQ(parse_int("101", 1, 100), std::nullopt);
+  EXPECT_EQ(parse_int("99999999999999999999", 1, 100), std::nullopt);
+}
+
+TEST(ParseU64, AcceptsFullRange) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("20150615"), 20150615u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ull);
+}
+
+TEST(ParseU64, RejectsNegativesJunkAndOverflow) {
+  EXPECT_EQ(parse_u64("-1"), std::nullopt);  // strtoull would wrap it
+  EXPECT_EQ(parse_u64("42abc"), std::nullopt);
+  EXPECT_EQ(parse_u64(""), std::nullopt);
+  EXPECT_EQ(parse_u64("18446744073709551616"), std::nullopt);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -93,87 +92,6 @@ TEST(ThreadPool, SharedPoolIsSingleton) {
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.thread_count(), 1u);
   EXPECT_EQ(a.submit([] { return 11; }).get(), 11);
-}
-
-TEST(ThreadPool, RunBatchRunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    tasks.emplace_back([&hits, i] { ++hits[i]; });
-  }
-  pool.run_batch(tasks);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // The task vector is borrowed, not consumed: a second run re-fires all.
-  pool.run_batch(tasks);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
-}
-
-TEST(ThreadPool, RunBatchEmptyAndSingleAreInline) {
-  ThreadPool pool(2);
-  pool.run_batch({});
-  int ran = 0;
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  std::vector<std::function<void()>> one;
-  one.emplace_back([&] {
-    ++ran;
-    ran_on = std::this_thread::get_id();
-  });
-  pool.run_batch(one);
-  EXPECT_EQ(ran, 1);
-  EXPECT_EQ(ran_on, caller);  // a single task never pays the handshake
-}
-
-TEST(ThreadPool, RunBatchWorksOnSingleWorkerPool) {
-  // The caller participates, so a 1-worker pool (or an entirely busy pool)
-  // cannot deadlock a batch.
-  ThreadPool pool(1);
-  std::atomic<int> done{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 16; ++i) tasks.emplace_back([&done] { ++done; });
-  pool.run_batch(tasks);
-  EXPECT_EQ(done.load(), 16);
-}
-
-TEST(ThreadPool, RunBatchNestedFromPoolTasksDoesNotDeadlock) {
-  ThreadPool pool(2);
-  std::atomic<int> inner_done{0};
-  std::vector<std::function<void()>> outer;
-  for (int i = 0; i < 4; ++i) {
-    outer.emplace_back([&pool, &inner_done] {
-      std::vector<std::function<void()>> inner;
-      for (int j = 0; j < 8; ++j) inner.emplace_back([&inner_done] { ++inner_done; });
-      pool.run_batch(inner);  // runs on a worker thread: must self-execute
-    });
-  }
-  pool.run_batch(outer);
-  EXPECT_EQ(inner_done.load(), 4 * 8);
-}
-
-TEST(ThreadPool, RunBatchRethrowsFirstExceptionByIndex) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> tasks;
-  tasks.emplace_back([&ran] { ++ran; });
-  tasks.emplace_back([] { throw std::runtime_error("batch task 1"); });
-  tasks.emplace_back([] { throw std::logic_error("batch task 2"); });
-  tasks.emplace_back([&ran] { ++ran; });
-  // All tasks still run (an exception does not cancel the rest), and the
-  // lowest-index error wins deterministically.
-  EXPECT_THROW(
-      {
-        try {
-          pool.run_batch(tasks);
-        } catch (const std::runtime_error& e) {
-          EXPECT_STREQ(e.what(), "batch task 1");
-          throw;
-        }
-      },
-      std::runtime_error);
-  EXPECT_EQ(ran.load(), 2);
-  // The pool survives a throwing batch.
-  EXPECT_EQ(pool.submit([] { return 5; }).get(), 5);
 }
 
 }  // namespace

@@ -34,6 +34,9 @@ using sim::kMinute;
 
 const MarketId kA{"us-east-1a", InstanceSize::kSmall};
 const MarketId kB{"us-east-1b", InstanceSize::kSmall};
+// Push-mode markets: a test steps them synchronously with push_price().
+const MarketId kPushA{"push-a", InstanceSize::kSmall};
+const MarketId kPushB{"push-b", InstanceSize::kSmall};
 constexpr sim::SimTime kHorizon = 6 * kHour;
 
 class MarketWatcherTest : public ::testing::Test {
@@ -44,12 +47,16 @@ class MarketWatcherTest : public ::testing::Test {
     provider_ = std::make_unique<cloud::CloudProvider>(*sim_, *rng_);
     add_market(kA, {{0, 0.02}, {kHour, 0.04}, {2 * kHour, 0.03}});
     add_market(kB, {{0, 0.05}, {3 * kHour, 0.01}});
+    provider_->add_live_market(kPushA, 0.06);
+    provider_->add_live_market(kPushB, 0.06);
     cloud::AllocationLatency lat;
     lat.on_demand_cv = 0.0;
     lat.spot_mean_s = 60.0;
     lat.spot_cv = 0.0;
     provider_->set_allocation_latency("us-east-1a", lat);
     provider_->start();
+    provider_->market(kPushA).prime(0.02);
+    provider_->market(kPushB).prime(0.05);
     watcher_ = std::make_unique<MarketWatcher>(*sim_, *provider_);
   }
 
@@ -136,6 +143,57 @@ TEST_F(MarketWatcherTest, RemovedListenerReceivesNothing) {
   EXPECT_EQ(watcher_->provider_subscriptions(), 1u);
 }
 
+TEST_F(MarketWatcherTest, ListenerRemovedMidPassReceivesNothing) {
+  // The documented contract: once remove_listener returns, no further
+  // triggers arrive — including in the price pass that is already running.
+  std::vector<int> order;
+  MarketWatcher::ListenerId victim = MarketWatcher::kInvalidListener;
+  const auto remover = add_listener([&](const MarketWatcher::Trigger&) {
+    order.push_back(1);
+    watcher_->remove_listener(victim);
+  });
+  victim = add_listener([&](const MarketWatcher::Trigger&) { order.push_back(2); });
+  const auto last = add_listener(
+      [&](const MarketWatcher::Trigger&) { order.push_back(3); });
+  watcher_->watch(remover, {kA});
+  watcher_->watch(victim, {kA});
+  watcher_->watch(last, {kA});
+  sim_->run_until(90 * kMinute);  // one step at 1 h
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(watcher_->listener_count(), 2u);
+}
+
+TEST_F(MarketWatcherTest, ReentrantPriceStepDeliversEachMarketOnceInOrder) {
+  // A listener's on_trigger may push a price on another market, which
+  // dispatches synchronously inside the outer pass. Every listener must
+  // still receive exactly its own market's trigger, once, and recipients
+  // of each market fire in registration order.
+  std::vector<std::pair<int, std::pair<MarketId, double>>> seen;
+  auto record = [&seen](int who) {
+    return [&seen, who](const MarketWatcher::Trigger& t) {
+      seen.push_back({who, {t.market, t.price}});
+    };
+  };
+  const auto first = add_listener(record(1));
+  const auto reentrant = add_listener([&](const MarketWatcher::Trigger& t) {
+    seen.push_back({2, {t.market, t.price}});
+    provider_->market(kPushB).push_price(0.01);
+  });
+  const auto on_b = add_listener(record(3));
+  const auto after = add_listener(record(4));
+  watcher_->watch(first, {kPushA});
+  watcher_->watch(reentrant, {kPushA});
+  watcher_->watch(after, {kPushA});
+  watcher_->watch(on_b, {kPushB});
+
+  provider_->market(kPushA).push_price(0.03);
+
+  const std::vector<std::pair<int, std::pair<MarketId, double>>> expected{
+      {1, {kPushA, 0.03}}, {2, {kPushA, 0.03}}, {3, {kPushB, 0.01}},
+      {4, {kPushA, 0.03}}};
+  EXPECT_EQ(seen, expected);
+}
+
 TEST_F(MarketWatcherTest, HourTickArrivesAsTypedTrigger) {
   std::vector<sim::SimTime> ticks;
   const auto id = add_listener([&](const MarketWatcher::Trigger& t) {
@@ -179,152 +237,6 @@ TEST_F(MarketWatcherTest, ArmedRevocationRoutesWarningToListener) {
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings[0].instance, granted);
   EXPECT_EQ(warnings[0].t_term, kHour + provider_->grace_period());
-}
-
-// Inline ShardRouter double: run_stage executes tasks synchronously on the
-// calling thread (the real engine's bit-identity makes that equivalent),
-// recording how many stages ran and how many shards each staged.
-struct FakeRouter final : sim::ShardRouter {
-  sim::Clock& clock;
-  std::size_t shards;
-  int stages = 0;
-  std::vector<std::size_t> staged_shards;  ///< non-null task count per stage
-  FakeRouter(sim::Clock& c, std::size_t k) : clock(c), shards(k) {}
-  [[nodiscard]] std::size_t shard_count() const noexcept override {
-    return shards;
-  }
-  [[nodiscard]] sim::Clock& shard_clock(std::size_t) override { return clock; }
-  void post(std::size_t, sim::Callback cb) override { cb(); }
-  void run_stage(std::vector<sim::Callback> tasks) override {
-    ++stages;
-    std::size_t active = 0;
-    for (auto& task : tasks) {
-      if (!task) continue;
-      ++active;
-      task();
-    }
-    staged_shards.push_back(active);
-  }
-};
-
-// FnListener with a controllable pre-screen verdict, counting how many
-// times the watcher's stage consulted it.
-struct ScreenedListener final : MarketWatcher::TriggerListener {
-  std::function<void(const MarketWatcher::Trigger&)> fn;
-  bool want = true;
-  mutable int screened = 0;
-  explicit ScreenedListener(std::function<void(const MarketWatcher::Trigger&)> f)
-      : fn(std::move(f)) {}
-  void on_trigger(const MarketWatcher::Trigger& t) override { fn(t); }
-  [[nodiscard]] bool wants_trigger(const MarketWatcher::Trigger&) const override {
-    ++screened;
-    return want;
-  }
-};
-
-struct ShardedWatcherTest : ::testing::Test {
-  sim::RngFactory rng{7};
-  sim::Simulation sim;
-  cloud::CloudProvider provider{sim, rng};
-  const MarketId pa{"push-a", InstanceSize::kSmall};
-  const MarketId pb{"push-b", InstanceSize::kSmall};
-  FakeRouter router{sim, 2};
-  std::unique_ptr<MarketWatcher> watcher;
-
-  void SetUp() override {
-    provider.add_live_market(pa, 0.06);
-    provider.add_live_market(pb, 0.06);
-    provider.start();
-    provider.market(pa).prime(0.02);
-    provider.market(pb).prime(0.05);
-    watcher = std::make_unique<MarketWatcher>(sim, provider);
-    watcher->bind_shards(router);
-  }
-};
-
-TEST_F(ShardedWatcherTest, PrescreenSkipsDecliningPinnedListeners) {
-  // The stage evaluates every pinned listener's wants_trigger; delivery then
-  // skips decliners and keeps strict registration order across the pinned /
-  // unpinned interleaving — the property fleet byte-identity keys on.
-  std::vector<int> order;
-  ScreenedListener decliner([&](const MarketWatcher::Trigger&) {
-    order.push_back(1);
-  });
-  decliner.want = false;
-  FnListener unpinned([&](const MarketWatcher::Trigger&) { order.push_back(2); });
-  ScreenedListener accepter([&](const MarketWatcher::Trigger&) {
-    order.push_back(3);
-  });
-  const auto id_d = watcher->add_listener(&decliner);
-  const auto id_u = watcher->add_listener(&unpinned);
-  const auto id_a = watcher->add_listener(&accepter);
-  watcher->watch(id_d, {pa});
-  watcher->watch(id_u, {pa});
-  watcher->watch(id_a, {pa});
-  watcher->assign_shard(id_d, 0);
-  watcher->assign_shard(id_a, 1);
-
-  provider.market(pa).push_price(0.03);
-
-  EXPECT_EQ(decliner.screened, 1);
-  EXPECT_EQ(accepter.screened, 1);
-  EXPECT_EQ(order, (std::vector<int>{2, 3}));  // decliner skipped
-  EXPECT_EQ(router.stages, 1);
-  ASSERT_EQ(router.staged_shards.size(), 1u);
-  EXPECT_EQ(router.staged_shards[0], 2u);  // one task per populated shard
-}
-
-TEST_F(ShardedWatcherTest, TickWithoutPinnedListenersStagesNothing) {
-  FnListener unpinned([](const MarketWatcher::Trigger&) {});
-  const auto id = watcher->add_listener(&unpinned);
-  watcher->watch(id, {pa});
-  provider.market(pa).push_price(0.03);
-  EXPECT_EQ(router.stages, 0);
-}
-
-TEST_F(ShardedWatcherTest, ReentrantDispatchKeepsStageScratchIntact) {
-  // A listener's on_trigger may reentrantly dispatch another price change.
-  // The nested pass runs its own stage + delivery without moving or
-  // clearing the outer pass's scratch: every pinned listener receives
-  // exactly its own market's trigger, pre-screened entries after the
-  // reentry point included.
-  std::vector<std::pair<MarketId, double>> seen_a, seen_b, seen_c;
-  ScreenedListener pinned_a([&](const MarketWatcher::Trigger& t) {
-    seen_a.emplace_back(t.market, t.price);
-  });
-  FnListener reentrant([&](const MarketWatcher::Trigger&) {
-    // Mid-delivery over pa's interest list (pinned_a delivered, pinned_c
-    // screened but not yet delivered): a synchronous price step on pb
-    // nests a second stage + dispatch.
-    provider.market(pb).push_price(0.01);
-  });
-  ScreenedListener pinned_b([&](const MarketWatcher::Trigger& t) {
-    seen_b.emplace_back(t.market, t.price);
-  });
-  ScreenedListener pinned_c([&](const MarketWatcher::Trigger& t) {
-    seen_c.emplace_back(t.market, t.price);
-  });
-  const auto id_a = watcher->add_listener(&pinned_a);
-  const auto id_r = watcher->add_listener(&reentrant);
-  const auto id_b = watcher->add_listener(&pinned_b);
-  const auto id_c = watcher->add_listener(&pinned_c);
-  watcher->watch(id_a, {pa});
-  watcher->watch(id_r, {pa});
-  watcher->watch(id_c, {pa});
-  watcher->watch(id_b, {pb});
-  watcher->assign_shard(id_a, 0);
-  watcher->assign_shard(id_b, 0);
-  watcher->assign_shard(id_c, 1);
-
-  provider.market(pa).push_price(0.03);
-
-  EXPECT_EQ(router.stages, 2);  // outer pa stage + nested pb stage
-  ASSERT_EQ(seen_a.size(), 1u);
-  EXPECT_EQ(seen_a[0], (std::pair{pa, 0.03}));
-  ASSERT_EQ(seen_b.size(), 1u);
-  EXPECT_EQ(seen_b[0], (std::pair{pb, 0.01}));
-  ASSERT_EQ(seen_c.size(), 1u);
-  EXPECT_EQ(seen_c[0], (std::pair{pa, 0.03}));
 }
 
 TEST(CrossingDetector, FirstObservationBelowIsSteadyState) {

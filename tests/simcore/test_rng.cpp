@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <stdexcept>
 #include <vector>
 
 namespace spothost::sim {
@@ -87,6 +89,33 @@ TEST(Rng, LognormalRejectsBadParams) {
   RngStream r(1);
   EXPECT_THROW(r.lognormal_mean_cv(0.0, 0.5), std::invalid_argument);
   EXPECT_THROW(r.lognormal_mean_cv(1.0, -0.5), std::invalid_argument);
+}
+
+TEST(Rng, NormalMatchesStandardLibraryDraws) {
+  // Same values and engine consumption as std::normal_distribution(mean, sd).
+  RngStream r(99);
+  std::mt19937_64 reference(99);
+  for (const double sd : {0.5, 1.0, 3.25}) {
+    for (int i = 0; i < 100; ++i) {
+      std::normal_distribution<double> d(10.0, sd);
+      EXPECT_EQ(r.normal(10.0, sd), d(reference));
+    }
+  }
+  EXPECT_EQ(r.engine()(), reference());
+}
+
+TEST(Rng, NormalZeroStddevReturnsMeanAndStillDraws) {
+  RngStream zero(5), unit(5);
+  EXPECT_EQ(zero.normal(3.5, 0.0), 3.5);
+  (void)unit.normal(3.5, 1.0);
+  // The degenerate draw consumes the engine exactly like any other, so later
+  // values of the stream do not shift.
+  EXPECT_EQ(zero.uniform(0, 1), unit.uniform(0, 1));
+}
+
+TEST(Rng, NormalRejectsNegativeStddev) {
+  RngStream r(1);
+  EXPECT_THROW(r.normal(0.0, -1.0), std::invalid_argument);
 }
 
 TEST(Rng, ParetoRespectsScaleAndTail) {

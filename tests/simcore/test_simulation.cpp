@@ -115,5 +115,36 @@ TEST(Simulation, RunUntilIsResumable) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
+TEST(Simulation, RunForeverStopsAtLastEvent) {
+  Simulation s;
+  s.at(42, [] {});
+  s.run();
+  EXPECT_EQ(s.now(), 42);  // not parked at the run-forever sentinel
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Simulation, SameTickCancelSuppressesLaterEvent) {
+  // Events pop one at a time, so a callback may cancel another event due at
+  // the same timestamp: cancel succeeds and the victim never fires.
+  Simulation s;
+  int fired = 0;
+  EventHandle victim;
+  s.at(10, [&] { EXPECT_TRUE(victim.cancel()); });
+  victim = s.at(10, [&fired] { ++fired; });
+  s.run_until(kHour);
+  EXPECT_EQ(fired, 0);
+  // A suppressed event is not a dispatch: only the canceler fired.
+  EXPECT_EQ(s.dispatched(), 1u);
+}
+
+TEST(Simulation, SameTickCancelOfAlreadyFiredEventFails) {
+  Simulation s;
+  int fired = 0;
+  EventHandle first = s.at(10, [&fired] { ++fired; });
+  s.at(10, [&first] { EXPECT_FALSE(first.cancel()); });
+  s.run_until(kHour);
+  EXPECT_EQ(fired, 1);
+}
+
 }  // namespace
 }  // namespace spothost::sim
