@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering lint, three rules:
+# Layering lint, four rules:
 #
 #  1. Everything below the experiment layer must depend only on the narrow
 #     sim::Clock interface (simcore/clock.hpp), never on the concrete
@@ -9,8 +9,11 @@
 #     includes the queue contract, the timing wheel, or the event arena.
 #  3. Test-only code (the binary-heap oracle, fixtures) stays in tests/:
 #     nothing under src/, bench/ or examples/ includes a tests/ header.
+#  4. The watcher's deliver-to-all oracle is reachable from tests/ only:
+#     its test peer (MarketWatcherTestPeer) is named nowhere under src/,
+#     bench/ or examples/ except in MarketWatcher's friend declaration.
 #
-# Fails with the offending include lines.
+# Fails with the offending lines.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -53,9 +56,19 @@ if matches=$(grep -rn --include='*.hpp' --include='*.cpp' -E "$pattern" \
   status=1
 fi
 
+peer='MarketWatcherTestPeer'
+if matches=$(grep -rn --include='*.hpp' --include='*.cpp' -w "$peer" \
+    src bench examples | grep -vE "^src/sched/market_watcher\.hpp:[0-9]+:[[:space:]]*friend class ${peer};$"); then
+  echo "LAYERING VIOLATION: the deliver-to-all oracle is test-only; only" \
+       "MarketWatcher's friend declaration may name ${peer}:"
+  echo "$matches"
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "layering OK: src/sched, src/virt, src/cloud depend only on" \
        "sim::Clock; only src/simcore owns a queue;" \
-       "no test-only header outside tests/"
+       "no test-only header outside tests/;" \
+       "the watcher oracle is reachable from tests/ only"
 fi
 exit "$status"

@@ -237,7 +237,7 @@ void CloudProvider::complete_grant(InstanceId iid) {
   inst.state = InstanceState::kRunning;
   inst.launch = clock_.now();
   if (inst.mode == BillingMode::kSpot) {
-    running_spot_[inst.market].push_back(iid);
+    running_spot_[inst.market].emplace(inst.bid, iid);
   }
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
     auto e = provider_event(obs::EventKind::kAcquisition, clock_.now(),
@@ -308,13 +308,14 @@ void CloudProvider::on_price_change(const MarketId& id, double new_price) {
     e.value = new_price;
     tracer->emit(e);
   }
-  // Walk this market's running spot index; warn those whose bid is now
-  // exceeded. One pass over the affected instances — a price step never
-  // scales with the fleet. Snapshot the ids: handlers may mutate state.
+  // Warn those whose bid the price now exceeds: the low-bid prefix of this
+  // market's running spot index, so a step costs the instances it revokes,
+  // not the market's size. Snapshot the ids: handlers may mutate state.
   std::vector<InstanceId> to_warn;
   if (const auto rit = running_spot_.find(id); rit != running_spot_.end()) {
-    for (const InstanceId iid : rit->second) {
-      if (new_price > instances_.find(iid)->second.bid) to_warn.push_back(iid);
+    for (auto it = rit->second.begin(); it != rit->second.end() && it->first < new_price;
+         ++it) {
+      to_warn.push_back(it->second);
     }
   }
   std::sort(to_warn.begin(), to_warn.end());  // deterministic order
@@ -381,13 +382,7 @@ void CloudProvider::on_price_change(const MarketId& id, double new_price) {
 
 void CloudProvider::drop_running_spot(const Instance& inst) {
   const auto rit = running_spot_.find(inst.market);
-  if (rit == running_spot_.end()) return;
-  auto& ids = rit->second;
-  const auto it = std::find(ids.begin(), ids.end(), inst.id);
-  if (it != ids.end()) {
-    *it = ids.back();
-    ids.pop_back();
-  }
+  if (rit != running_spot_.end()) rit->second.erase({inst.bid, inst.id});
 }
 
 void CloudProvider::complete_lease(Instance& inst, TerminationCause cause,

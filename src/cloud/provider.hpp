@@ -13,8 +13,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cloud/billing.hpp"
@@ -150,7 +152,7 @@ class CloudProvider : private SpotMarket::PriceListener {
   void complete_lease(Instance& inst, TerminationCause cause, sim::SimTime end);
   Instance& instance_mut(InstanceId id);
   /// Removes a spot instance leaving the kRunning state from its market's
-  /// running-spot index.
+  /// running-spot index: O(log n).
   void drop_running_spot(const Instance& inst);
 
   sim::Clock& clock_;
@@ -164,10 +166,12 @@ class CloudProvider : private SpotMarket::PriceListener {
   mutable std::unordered_map<std::string, std::unique_ptr<sim::RngStream>> latency_rng_;
 
   std::unordered_map<InstanceId, Instance> instances_;
-  /// Running spot instances per market, so a price step touches only the
-  /// instances it can actually revoke — never the whole fleet. Unordered
-  /// within a market; revocation order is fixed by sorting the affected ids.
-  std::unordered_map<MarketId, std::vector<InstanceId>, MarketIdHash> running_spot_;
+  /// Running spot instances per market as (bid, id), lowest bid first, so a
+  /// price step visits only the instances it revokes — a prefix — and
+  /// never the rest of the market. Revocation order is fixed by sorting the
+  /// affected ids.
+  std::unordered_map<MarketId, std::set<std::pair<double, InstanceId>>, MarketIdHash>
+      running_spot_;
   std::unordered_map<InstanceId, Pending> pending_;
   std::unordered_map<InstanceId, RevocationHandler> revocation_handlers_;
   InstanceId next_instance_ = 1;

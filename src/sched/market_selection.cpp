@@ -1,6 +1,7 @@
 #include "sched/market_selection.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -23,14 +24,43 @@ std::string_view to_string(StabilityPolicy policy) noexcept {
   return "?";
 }
 
+namespace {
+
+// The one formula behind effective_spot_price and its crossing point.
+double effective_price(double price, cloud::InstanceSize size, int units_needed) {
+  const int capacity = cloud::type_info(size).capacity_units;
+  return price * static_cast<double>(units_needed) / static_cast<double>(capacity);
+}
+
+}  // namespace
+
 double effective_spot_price(const cloud::CloudProvider& provider,
                             const cloud::MarketId& market, int units_needed) {
   if (units_needed <= 0) {
     throw std::invalid_argument("effective_spot_price: units_needed must be > 0");
   }
-  const int capacity = cloud::type_info(market.size).capacity_units;
-  return provider.price(market) * static_cast<double>(units_needed) /
-         static_cast<double>(capacity);
+  return effective_price(provider.price(market), market.size, units_needed);
+}
+
+double effective_price_crossing(cloud::InstanceSize size, int units_needed,
+                                double threshold) {
+  if (units_needed <= 0) {
+    throw std::invalid_argument(
+        "effective_price_crossing: units_needed must be > 0");
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!(threshold < kInf)) return kInf;  // +inf or NaN: never exceeded
+  // Start from the real-number answer, then walk ulp by ulp to where the
+  // rounded comparison flips (at most a few steps).
+  double p = threshold * static_cast<double>(cloud::type_info(size).capacity_units) /
+             static_cast<double>(units_needed);
+  while (effective_price(p, size, units_needed) > threshold) {
+    p = std::nextafter(p, -kInf);
+  }
+  while (!(effective_price(p, size, units_needed) > threshold)) {
+    p = std::nextafter(p, kInf);
+  }
+  return p;
 }
 
 double effective_on_demand_price(const cloud::CloudProvider& provider,

@@ -34,6 +34,14 @@ std::string_view to_string(StabilityPolicy policy) noexcept;
 double effective_spot_price(const cloud::CloudProvider& provider,
                             const cloud::MarketId& market, int units_needed);
 
+/// The lowest raw spot price of a `size` market at which the effective
+/// price for `units_needed` exceeds `threshold`: effective_spot_price(...) >
+/// threshold holds exactly when the market's price is >= the result. Exact
+/// in floating point (the effective price is monotone in the raw price), so
+/// a price band built on it flips where the comparison does.
+double effective_price_crossing(cloud::InstanceSize size, int units_needed,
+                                double threshold);
+
 /// Effective $/hr of the on-demand fallback of the home size in `region`.
 double effective_on_demand_price(const cloud::CloudProvider& provider,
                                  const std::string& region,

@@ -14,21 +14,33 @@
 //    the delivery, not the schedule);
 //  * kRevocation   — the provider warned an instance the listener armed.
 //
-// Fan-out is batched for fleet scale: one price step is one pass over the
-// market's interest list — no per-service events, no snapshot allocation,
-// and since PR 9 no type-erased hops anywhere on the path: the provider
-// feed arrives through SpotMarket::PriceListener and leaves through
-// TriggerListener — two devirtualizable virtual calls per (tick, listener).
+// Price fan-out is band-routed. Each listener tells the watcher, per
+// market, the price band in which a kPriceChange is a no-op for it
+// (TriggerListener::price_band). A market's interest list is a dense column
+// of {band, id} entries in watch order; one price step is one pass over
+// that column that calls only the listeners whose band excludes the price
+// they would read. The paper's policies are threshold rules, so nearly
+// every listener sits inside its band on nearly every step, and a step
+// costs one comparison per listener plus two devirtualizable virtual calls
+// per *woken* listener (the provider feed arrives through
+// SpotMarket::PriceListener and leaves through TriggerListener).
+//
+// The watcher re-derives a listener's bands after every trigger it
+// delivers; a listener whose state also changes elsewhere (timers,
+// provider callbacks) calls refresh() itself. A band that is too narrow
+// only wakes the listener more often; a stale wide one would skip a
+// delivery that matters.
+//
 // Listeners live in a dense vector indexed by ListenerId (ids are never
 // reused); removal tombstones the slot, dispatch iterates by index with the
 // list length captured up front, so listeners may (un)register and watch()
 // reentrantly mid-dispatch. Tombstoned ids are swept out of interest lists
-// only between dispatches. Listeners within one market fire in registration
-// order; identical registration order yields identical dispatch order,
-// every run.
+// only between dispatches. Listeners within one market fire in watch
+// order; identical registrations yield identical dispatch order, every run.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -57,8 +69,32 @@ class CrossingDetector {
 
   void reset() noexcept { above_.reset(); }
 
+  /// Whether the last observation was above. A fresh detector reads false:
+  /// for every later sequence it reports the same edges as one whose last
+  /// observation was below.
+  [[nodiscard]] bool above() const noexcept { return above_.value_or(false); }
+
  private:
   std::optional<bool> above_;
+};
+
+/// A half-open price interval [lo, hi). As a listener's band for a market,
+/// it promises that a kPriceChange for that market is a no-op while the
+/// market's price lies inside it. The default, empty band (lo >= hi) makes
+/// no promise: the listener is woken on every step.
+struct PriceBand {
+  double lo = 0.0;
+  double hi = 0.0;
+
+  [[nodiscard]] constexpr bool contains(double price) const noexcept {
+    return price >= lo && price < hi;
+  }
+  /// Every finite price: the listener never needs a price step.
+  [[nodiscard]] static constexpr PriceBand everything() noexcept {
+    return {-std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::infinity()};
+  }
+  bool operator==(const PriceBand&) const = default;
 };
 
 class MarketWatcher : private cloud::SpotMarket::PriceListener {
@@ -87,15 +123,31 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
     ///    caused it — the callback observes the world exactly as the trigger
     ///    left it, and may issue provider requests or (un)register listeners
     ///    reentrantly (dispatch tolerates mid-pass mutation).
-    ///  * Listeners sharing a market fire in registration (ListenerId)
-    ///    order; same registrations, same dispatch order, every run.
+    ///  * Listeners sharing a market fire in the order they watch()ed it;
+    ///    same registrations, same dispatch order, every run.
     ///  * The listener object must stay valid until remove_listener
     ///    returns; after that no further triggers are delivered, including
     ///    to recipients the in-flight dispatch has not reached yet.
     virtual void on_trigger(const Trigger& trigger) = 0;
+
+    /// Band contract: while the market's price lies in the returned band,
+    /// on_trigger(kPriceChange) for `market` is a no-op — skipping it
+    /// changes nothing any later trigger or output could observe — so the
+    /// watcher skips it. Const-pure: a function of the listener's current
+    /// state alone. The watcher asks again after each trigger it delivers;
+    /// state that changes elsewhere must be followed by
+    /// MarketWatcher::refresh. The default (empty band) wakes the listener
+    /// on every step, which is always correct.
+    [[nodiscard]] virtual PriceBand price_band(const cloud::MarketId& market) const {
+      (void)market;
+      return {};
+    }
   };
 
   MarketWatcher(sim::Clock& clock, cloud::CloudProvider& provider);
+  // Markets and scheduled events hold its address.
+  MarketWatcher(const MarketWatcher&) = delete;
+  MarketWatcher& operator=(const MarketWatcher&) = delete;
 
   /// Registers a listener (not owned; see TriggerListener::on_trigger for
   /// the delivery contract).
@@ -107,9 +159,13 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   void remove_listener(ListenerId id);
 
   /// Adds `markets` to the set the listener receives kPriceChange triggers
-  /// for. The underlying provider feed is subscribed on the first interest
-  /// in a market, once, no matter how many listeners watch it afterwards.
+  /// for; a market it already watches is skipped. The underlying provider
+  /// feed is subscribed on the first interest in a market, once, no matter
+  /// how many listeners watch it afterwards.
   void watch(ListenerId id, const std::vector<cloud::MarketId>& markets);
+
+  /// Re-reads the listener's price band for every market it watches.
+  void refresh(ListenerId id);
 
   /// Schedules a kHourBoundary trigger for `id` at absolute time `at`.
   /// Returns the event handle — cancel through it.
@@ -129,41 +185,71 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// Provider-side price-feed subscriptions this watcher holds — bounded by
   /// the market count, never by the listener count.
   [[nodiscard]] std::size_t provider_subscriptions() const noexcept {
-    return subscribed_.size();
+    return interest_.size();
   }
   /// Live (registered, not yet removed) listeners.
   [[nodiscard]] std::size_t listener_count() const noexcept {
     return live_listeners_;
   }
+  /// kPriceChange triggers delivered so far: exactly the number of
+  /// on_trigger calls price steps made.
+  [[nodiscard]] std::uint64_t price_deliveries() const noexcept {
+    return price_deliveries_;
+  }
 
  private:
+  friend class MarketWatcherTestPeer;
+
+  /// One listener's place in a market's interest column.
+  struct Entry {
+    PriceBand band;
+    ListenerId id = kInvalidListener;
+  };
+  /// One watched market: its feed and its listeners in watch order. May
+  /// hold tombstoned ids between sweeps; dispatch skips them.
+  struct Interest {
+    const cloud::SpotMarket* market = nullptr;
+    std::vector<Entry> entries;
+    std::size_t dead = 0;  ///< entries whose listener was removed
+  };
+  /// Where a listener sits in one market's column.
+  struct Watch {
+    Interest* interest = nullptr;
+    std::size_t slot = 0;
+  };
+  struct Listener {
+    TriggerListener* listener = nullptr;  ///< null once removed
+    std::vector<Watch> watches;           ///< its markets, in watch order
+  };
+
   [[nodiscard]] bool alive(ListenerId id) const noexcept {
     return id != kInvalidListener && id <= listeners_.size() &&
-           listeners_[static_cast<std::size_t>(id - 1)] != nullptr;
+           listeners_[static_cast<std::size_t>(id - 1)].listener != nullptr;
   }
   /// cloud::SpotMarket::PriceListener — the one shared feed subscription.
-  void on_price(const cloud::SpotMarket& market, double new_price) override {
-    on_price_change(market.id(), new_price);
-  }
-  void on_price_change(const cloud::MarketId& market, double new_price);
+  void on_price(const cloud::SpotMarket& market, double new_price) override;
   void deliver(ListenerId id, const Trigger& trigger);
+  /// Oracle mode: throws std::logic_error if any stored band of `id`
+  /// differs from a fresh price_band().
+  void check_bands(ListenerId id) const;
+  void sweep(Interest& interest);
 
   sim::Clock& clock_;
   cloud::CloudProvider& provider_;
   /// Dense listener table indexed by id-1; a removed listener leaves a
   /// null slot (ids are never reused, so no generation counter is needed).
-  std::vector<TriggerListener*> listeners_;
+  std::vector<Listener> listeners_;
   std::size_t live_listeners_ = 0;
-  /// Per-market listener ids, in registration order. May contain tombstoned
-  /// ids between sweeps; dispatch skips them.
-  std::unordered_map<cloud::MarketId, std::vector<ListenerId>, cloud::MarketIdHash>
-      interest_;
-  std::unordered_map<cloud::MarketId, cloud::SpotMarket::SubscriptionId,
-                     cloud::MarketIdHash>
-      subscribed_;
+  /// Per-market interest columns. Node-based, so the Watch pointers into
+  /// it stay valid as markets are added.
+  std::unordered_map<cloud::MarketId, Interest, cloud::MarketIdHash> interest_;
+  std::uint64_t price_deliveries_ = 0;
   /// Depth of in-flight price dispatches; interest lists are swept only at
   /// depth zero so index-based iteration never sees entries shift.
   int dispatch_depth_ = 0;
+  /// The test oracle: deliver every price step to every listener, checking
+  /// each stored band against a fresh one first. Set only by tests.
+  bool deliver_to_all_ = false;
 };
 
 }  // namespace spothost::sched

@@ -88,11 +88,13 @@ void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement&
     migration_->dest = provider_.request_on_demand(
         target.market,
         [this](InstanceId iid) {
+          const MigrationHost::BandRefresh refresh(host_);
           if (!migration_ || migration_->dest != iid) return;
           migration_->dest_ready = true;
           start_transfer();
         },
         [this, cls](cloud::AllocFailure) {
+          const MigrationHost::BandRefresh refresh(host_);
           // Only an injected capacity fault can land here (on-demand never
           // fails on price). The injector already traced it; drop the move
           // unless the host's retry policy is allowed to re-trigger.
@@ -104,15 +106,18 @@ void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement&
     migration_->dest = provider_.request_spot(
         target.market, target.bid,
         [this](InstanceId iid) {
+          const MigrationHost::BandRefresh refresh(host_);
           if (!migration_ || migration_->dest != iid) return;
           migration_->dest_ready = true;
           provider_.set_revocation_handler(
               iid, [this](InstanceId warned, SimTime t_term) {
+                const MigrationHost::BandRefresh refresh_after_warning(host_);
                 host_.on_revocation_warning(warned, t_term);
               });
           start_transfer();
         },
         [this, cls, target = target.market](cloud::AllocFailure reason) {
+          const MigrationHost::BandRefresh refresh(host_);
           auto e = host_.trace_event(obs::EventKind::kSpotRequestFailed,
                                      obs::code::kNone);
           e.market = target.str();
@@ -177,7 +182,10 @@ void MigrationEngine::start_transfer() {
   migration_->switchover_at =
       clock_.now() + jittered(migration_->timings.prepare_s);
   migration_->switchover_event =
-      clock_.at(migration_->switchover_at, [this] { complete_switchover(); });
+      clock_.at(migration_->switchover_at, [this] {
+        const MigrationHost::BandRefresh refresh(host_);
+        complete_switchover();
+      });
   auto e = host_.trace_event(obs::EventKind::kMigrationTransfer,
                              migration_code(migration_->cls));
   e.instance = migration_->dest;
@@ -227,11 +235,15 @@ void MigrationEngine::complete_switchover() {
   if (downtime > 0 && service_.is_up()) {
     service_.begin_outage(clock_.now(), cause);
     clock_.after(downtime, [this, degraded] {
+      const MigrationHost::BandRefresh refresh(host_);
       if (forced_) return;  // a forced flow took over mid-switchover
       if (!service_.is_up()) {
         service_.end_outage(clock_.now(), degraded > 0);
         if (degraded > 0) {
-          clock_.after(degraded, [this] { service_.end_degraded(clock_.now()); });
+          clock_.after(degraded, [this] {
+            const MigrationHost::BandRefresh refresh_after_degraded(host_);
+            service_.end_degraded(clock_.now());
+          });
         }
       }
     });
@@ -276,12 +288,16 @@ InstanceId MigrationEngine::request_forced_dest(const MarketId& od_market) {
   const InstanceId iid = provider_.request_on_demand(
       od_market,
       [this](InstanceId granted) {
+        const MigrationHost::BandRefresh refresh(host_);
         if (!forced_ || forced_->dest != granted) return;
         forced_->dest_ready = true;
         forced_->dest_ready_at = clock_.now();
         forced_try_resume();
       },
-      [this](cloud::AllocFailure) { on_forced_dest_failed(); });
+      [this](cloud::AllocFailure) {
+        const MigrationHost::BandRefresh refresh(host_);
+        on_forced_dest_failed();
+      });
   if (owner_ != cloud::kNoOwner) provider_.set_instance_owner(iid, owner_);
   return iid;
 }
@@ -322,6 +338,7 @@ void MigrationEngine::on_forced_dest_failed() {
     host_.trace(std::move(e));
   }
   clock_.after(sim::from_seconds(delay_s), [this] {
+    const MigrationHost::BandRefresh refresh(host_);
     if (!forced_ || forced_->dest != cloud::kInvalidInstance) return;
     forced_->dest = request_forced_dest(forced_->od_market);
   });
@@ -373,6 +390,7 @@ void MigrationEngine::begin_forced(SimTime t_term, InstanceId source,
   const SimTime t_stop = std::max(clock_.now(),
                                   t_term - sim::from_seconds(forced_->timings.flush_s));
   clock_.at(t_stop, [this] {
+    const MigrationHost::BandRefresh refresh(host_);
     if (!forced_) return;
     if (service_.is_up()) {
       service_.begin_outage(clock_.now(),
@@ -385,6 +403,7 @@ void MigrationEngine::begin_forced(SimTime t_term, InstanceId source,
     forced_try_resume();
   });
   clock_.at(t_term, [this] {
+    const MigrationHost::BandRefresh refresh(host_);
     if (!forced_) return;
     host_.on_source_lost();
     forced_try_resume();
@@ -423,13 +442,17 @@ void MigrationEngine::forced_try_resume() {
     }
   }
   clock_.after(restore, [this, restore, degraded] {
+    const MigrationHost::BandRefresh refresh(host_);
     if (!forced_) return;
     const Forced f = *forced_;
     forced_.reset();
     if (!service_.is_up()) {
       service_.end_outage(clock_.now(), degraded > 0);
       if (degraded > 0) {
-        clock_.after(degraded, [this] { service_.end_degraded(clock_.now()); });
+        clock_.after(degraded, [this] {
+          const MigrationHost::BandRefresh refresh_after_degraded(host_);
+          service_.end_degraded(clock_.now());
+        });
       }
     }
     const auto& inst = provider_.instance(f.dest);

@@ -86,6 +86,24 @@ class MigrationHost {
   /// spot destination) — route back through the host's trigger handling.
   virtual void on_revocation_warning(cloud::InstanceId instance,
                                      sim::SimTime t_term) = 0;
+  /// Re-derives the host's price bands (MarketWatcher::TriggerListener::
+  /// price_band), which read host and engine state.
+  virtual void refresh_price_bands() = 0;
+
+  /// Calls refresh_price_bands() on scope exit. Every simulation callback
+  /// into the host or its engine that is not a watcher trigger (timers,
+  /// provider grants and failures, destination warnings, start) holds one,
+  /// so no state change leaves a stale band behind.
+  class BandRefresh {
+   public:
+    explicit BandRefresh(MigrationHost& host) noexcept : host_(host) {}
+    ~BandRefresh() { host_.refresh_price_bands(); }
+    BandRefresh(const BandRefresh&) = delete;
+    BandRefresh& operator=(const BandRefresh&) = delete;
+
+   private:
+    MigrationHost& host_;
+  };
 
   /// Trace pipeline (counters + attached tracer) — the engine never emits
   /// events around the host.

@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -160,6 +161,7 @@ void CloudScheduler::start() {
       markets.end()) {
     markets.push_back(config_.home_market);
   }
+  const BandRefresh refresh(*this);
   watcher_.watch(listener_, markets);
   acquire_initial();
 }
@@ -193,10 +195,12 @@ void CloudScheduler::acquire_initial() {
     pending_acquire_ = provider_.request_spot(
         target, best->bid,
         [this, target](InstanceId iid) {
+          const BandRefresh refresh(*this);
           pending_acquire_ = cloud::kInvalidInstance;
           adopt(iid, target, /*on_demand=*/false);
         },
         [this, target](cloud::AllocFailure reason) {
+          const BandRefresh refresh(*this);
           pending_acquire_ = cloud::kInvalidInstance;
           auto e = trace_event(obs::EventKind::kSpotRequestFailed, obs::code::kNone);
           e.market = target.str();
@@ -216,10 +220,12 @@ void CloudScheduler::acquire_initial() {
   pending_acquire_ = provider_.request_on_demand(
       od.market,
       [this, od_market = od.market](InstanceId iid) {
+        const BandRefresh refresh(*this);
         pending_acquire_ = cloud::kInvalidInstance;
         adopt(iid, od_market, /*on_demand=*/true);
       },
       [this, od_market = od.market](cloud::AllocFailure) {
+        const BandRefresh refresh(*this);
         pending_acquire_ = cloud::kInvalidInstance;
         on_acquire_capacity_failed(od_market, /*was_spot=*/false);
       });
@@ -269,6 +275,7 @@ void CloudScheduler::on_acquire_capacity_failed(const MarketId& market,
     trace(std::move(e));
   }
   clock_.after(sim::from_seconds(delay_s), [this] {
+    const BandRefresh refresh(*this);
     if (pending_acquire_ != cloud::kInvalidInstance) return;
     if (state_ != State::kAcquiring && state_ != State::kDown) return;
     if (engine_->active()) return;
@@ -278,7 +285,12 @@ void CloudScheduler::on_acquire_capacity_failed(const MarketId& market,
 
 void CloudScheduler::adopt(InstanceId instance, const MarketId& market,
                            bool on_demand) {
-  holding_ = Holding{instance, market, on_demand};
+  holding_ = Holding{instance, market, on_demand, 0.0};
+  if (!on_demand && bidding_->plans_migrations(config_) &&
+      config_.on_demand_allowed()) {
+    holding_->crossing_price =
+        effective_price_crossing(market.size, units_needed(), od_threshold());
+  }
   state_ = on_demand ? State::kOnDemand : State::kOnSpot;
   crossing_.reset();  // crossings are relative to the adopted market
   acquire_attempts_ = 0;  // the fault-recovery episode ended in a grant
@@ -347,6 +359,41 @@ void CloudScheduler::on_price_change(const MarketId& market, double new_price) {
   }
 }
 
+PriceBand CloudScheduler::price_band(const MarketId& market) const {
+  // Mirrors on_price_change branch by branch. Every early return there is
+  // "never wake"; pure spot while acquiring or down wakes on every step,
+  // because the bid may depend on now.
+  if (engine_->forced_active()) return PriceBand::everything();
+  if (!config_.on_demand_allowed()) {
+    return state_ == State::kDown || state_ == State::kAcquiring
+               ? PriceBand{}
+               : PriceBand::everything();
+  }
+  if (state_ != State::kOnSpot || !holding_ || market != holding_->market ||
+      !bidding_->plans_migrations(config_)) {
+    return PriceBand::everything();
+  }
+  // Proactive on the held market: a step is a no-op on one side of the
+  // price where the effective price first exceeds p_on, when nothing is
+  // armed that a step to that side would touch.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double edge = holding_->crossing_price;
+  const bool timer_pending = planned_begin_event_.valid();
+  if (!crossing_.above()) {
+    // Below (or fresh): a step below emits no edge and has no timer to
+    // cancel and no planned move to abandon.
+    const bool abandonable =
+        engine_->voluntary_class() == virt::MigrationClass::kPlanned &&
+        !engine_->transfer_started() && config_.cancel_planned_on_price_drop;
+    if (!timer_pending && !abandonable) return PriceBand{-kInf, edge};
+  } else if (timer_pending || engine_->active()) {
+    // Above with a move already armed: a step above emits no edge and
+    // maybe_schedule_planned() returns at once.
+    return PriceBand{edge, kInf};
+  }
+  return PriceBand{};
+}
+
 // ---------------------------------------------------------------------------
 // Planned migrations
 // ---------------------------------------------------------------------------
@@ -363,6 +410,7 @@ void CloudScheduler::maybe_schedule_planned() {
     return;
   }
   planned_begin_event_ = clock_.at(begin_at, [this] {
+    const BandRefresh refresh(*this);
     planned_begin_event_.reset();
     if (state_ != State::kOnSpot || engine_->active() || !holding_) return;
     const double eff =
@@ -453,11 +501,13 @@ void CloudScheduler::on_revocation_warning(InstanceId instance, SimTime t_term) 
     const SimTime t_stop = std::max(clock_.now(),
                                     t_term - sim::from_seconds(timings.flush_s));
     clock_.at(t_stop, [this] {
+      const BandRefresh refresh(*this);
       if (service_.is_up()) {
         service_.begin_outage(clock_.now(), workload::OutageCause::kSpotLoss);
       }
     });
     clock_.at(t_term, [this] {
+      const BandRefresh refresh(*this);
       holding_.reset();
       state_ = State::kDown;
       pure_spot_reacquire();
@@ -500,6 +550,7 @@ void CloudScheduler::pure_spot_reacquire() {
   pending_acquire_ = provider_.request_spot(
       home, bid,
       [this, home](InstanceId iid) {
+        const BandRefresh refresh(*this);
         pending_acquire_ = cloud::kInvalidInstance;
         if (!service_live_ || service_.is_up()) {
           adopt(iid, home, /*on_demand=*/false);
@@ -512,17 +563,21 @@ void CloudScheduler::pure_spot_reacquire() {
         const SimTime restore = engine_->jittered(timings.restore_s);
         const SimTime degraded = engine_->jittered(timings.degraded_s);
         clock_.after(restore, [this, iid, home, degraded] {
+          const BandRefresh refresh_after_restore(*this);
           if (!service_.is_up()) {
             service_.end_outage(clock_.now(), degraded > 0);
             if (degraded > 0) {
-              clock_.after(degraded,
-                           [this] { service_.end_degraded(clock_.now()); });
+              clock_.after(degraded, [this] {
+                const BandRefresh refresh_after_degraded(*this);
+                service_.end_degraded(clock_.now());
+              });
             }
           }
           adopt(iid, home, /*on_demand=*/false);
         });
       },
       [this, home](cloud::AllocFailure reason) {
+        const BandRefresh refresh(*this);
         pending_acquire_ = cloud::kInvalidInstance;
         auto e = trace_event(obs::EventKind::kSpotRequestFailed, obs::code::kNone);
         e.market = config_.home_market.str();

@@ -110,12 +110,19 @@ class CloudScheduler : private MigrationHost,
     cloud::InstanceId id = cloud::kInvalidInstance;
     cloud::MarketId market;
     bool on_demand = false;
+    /// Proactive spot holdings only: the lowest price of `market` at which
+    /// the effective spot price exceeds p_on (effective_price_crossing) —
+    /// where price_band flips.
+    double crossing_price = 0.0;
   };
 
   // --- triggers (MarketWatcher listener) ------------------------------
   /// MarketWatcher::TriggerListener — direct interface delivery; no
   /// per-scheduler std::function on the price-tick path.
   void on_trigger(const MarketWatcher::Trigger& trigger) override;
+  /// The prices at which on_price_change(market) would do nothing, derived
+  /// from state alone (see the definition for the rules).
+  [[nodiscard]] PriceBand price_band(const cloud::MarketId& market) const override;
   void on_price_change(const cloud::MarketId& market, double new_price);
   void on_hour_check();
 
@@ -158,6 +165,7 @@ class CloudScheduler : private MigrationHost,
   void on_source_released() override;
   void on_voluntary_dest_failed(virt::MigrationClass cls) override;
   void on_revocation_warning(cloud::InstanceId instance, sim::SimTime t_term) override;
+  void refresh_price_bands() override { watcher_.refresh(listener_); }
 
   /// Feeds the event into counters_ (the stats backing store) and forwards
   /// it to the clock's tracer, if one is attached.

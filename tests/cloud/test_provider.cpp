@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 namespace spothost::cloud {
 namespace {
@@ -199,6 +200,43 @@ TEST_F(ProviderTest, DuplicateMarketRejected) {
   t.set_end(kHour);
   EXPECT_THROW(provider_.add_market(kSmallEast, std::move(t), 0.06),
                std::logic_error);
+}
+
+TEST(Provider, PriceStepWarnsBidsStrictlyBelowItInIdOrder) {
+  // Bids requested out of price order, so bid order and id order differ.
+  sim::Simulation sim;
+  sim::RngFactory rng(1234);
+  CloudProvider provider(sim, rng);
+  provider.add_live_market(kSmallEast, 0.06);
+  AllocationLatency lat;
+  lat.spot_mean_s = 60.0;
+  lat.spot_cv = 0.0;
+  provider.set_allocation_latency("us-east-1a", lat);
+  provider.start();
+  auto& market = provider.market(kSmallEast);
+  market.prime(0.02);
+
+  std::vector<InstanceId> warned;
+  std::vector<InstanceId> ids;
+  for (const double bid : {0.08, 0.07, 0.05, 0.06, 0.09}) {
+    ids.push_back(provider.request_spot(
+        kSmallEast, bid,
+        [&](InstanceId iid) {
+          provider.set_revocation_handler(
+              iid, [&](InstanceId w, sim::SimTime) { warned.push_back(w); });
+        },
+        [](AllocFailure) { FAIL() << "spot request should be granted"; }));
+  }
+  sim.run_until(kMinute + kSecond);
+  provider.terminate(ids[4]);  // a lease that ended leaves the index
+
+  market.push_price(0.06);  // only bid 0.05 is below; 0.06 equals the price
+  EXPECT_EQ(warned, (std::vector<InstanceId>{ids[2]}));
+  market.push_price(0.075);  // bids 0.07 and 0.06, warned in id order
+  EXPECT_EQ(warned, (std::vector<InstanceId>{ids[2], ids[1], ids[3]}));
+  market.push_price(0.5);  // the terminated 0.09 lease is not warned
+  EXPECT_EQ(warned, (std::vector<InstanceId>{ids[2], ids[1], ids[3], ids[0]}));
+  EXPECT_EQ(provider.instance(ids[4]).state, InstanceState::kTerminated);
 }
 
 TEST(Provider, NegativeGraceRejected) {

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
+#include "trace/profiles.hpp"
+
 namespace spothost::sched {
 namespace {
 
@@ -185,6 +191,56 @@ TEST(SelectionStability, StabilityPenaltyRedirectsChoice) {
 TEST(Selection, ScopeNames) {
   EXPECT_EQ(to_string(MarketScope::kSingleMarket), "single-market");
   EXPECT_EQ(to_string(MarketScope::kMultiRegion), "multi-region");
+}
+
+TEST(EffectivePriceCrossing, FlipsExactlyAtTheReturnedPrice) {
+  // Price bands rely on this: for every canonical market, every home size's
+  // p_on in that region and every units_needed a service can have, the
+  // effective price exceeds p_on at the crossing and not one ulp below it.
+  sim::Simulation sim;
+  sim::RngFactory rng(1);
+  cloud::CloudProvider provider(sim, rng);
+  for (const auto region : trace::canonical_regions()) {
+    for (const auto size : cloud::kAllSizes) {
+      provider.add_live_market({std::string(region), size},
+                               cloud::on_demand_price(size, region));
+    }
+  }
+  provider.start();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  int checked = 0;
+  for (const auto region : trace::canonical_regions()) {
+    for (const auto size : cloud::kAllSizes) {
+      const MarketId market{std::string(region), size};
+      auto& feed = provider.market(market);
+      feed.prime(0.01);
+      for (const auto home_size : cloud::kAllSizes) {
+        const double threshold =
+            effective_on_demand_price(provider, market.region, home_size);
+        for (int units = 1; units <= 8; ++units) {
+          const double edge = effective_price_crossing(size, units, threshold);
+          feed.push_price(edge);
+          EXPECT_GT(effective_spot_price(provider, market, units), threshold)
+              << market.str() << " units " << units;
+          feed.push_price(std::nextafter(edge, -kInf));
+          EXPECT_LE(effective_spot_price(provider, market, units), threshold)
+              << market.str() << " units " << units;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4 * 4 * 4 * 8);
+}
+
+TEST(EffectivePriceCrossing, EdgeCases) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(effective_price_crossing(InstanceSize::kSmall, 1, kInf), kInf);
+  EXPECT_EQ(effective_price_crossing(InstanceSize::kSmall, 1,
+                                     std::numeric_limits<double>::quiet_NaN()),
+            kInf);
+  EXPECT_THROW((void)effective_price_crossing(InstanceSize::kSmall, 0, 0.06),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
 // MarketWatcher: one provider subscription per market no matter how many
 // listeners, deterministic fan-out order, typed hour-tick and revocation
-// triggers. Plus the CrossingDetector edge semantics the scheduler's
-// price-crossing events rely on.
+// triggers, price-band routing and its deliver-to-all oracle. Plus the
+// CrossingDetector edge semantics the scheduler's price-crossing events
+// (and its price bands) rely on.
 #include "sched/market_watcher.hpp"
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "cloud/billing.hpp"
+#include "market_watcher_test_peer.hpp"
 #include "simcore/simulation.hpp"
 
 namespace spothost::sched {
@@ -26,6 +31,23 @@ struct FnListener final : MarketWatcher::TriggerListener {
       : fn(std::move(f)) {}
   void on_trigger(const MarketWatcher::Trigger& t) override { fn(t); }
 };
+
+// A listener with a settable band: counts its price deliveries.
+struct BandListener final : MarketWatcher::TriggerListener {
+  PriceBand band;
+  int deliveries = 0;
+  std::function<void()> on_delivery;
+  void on_trigger(const MarketWatcher::Trigger& t) override {
+    if (t.kind != MarketWatcher::TriggerKind::kPriceChange) return;
+    ++deliveries;
+    if (on_delivery) on_delivery();
+  }
+  [[nodiscard]] PriceBand price_band(const cloud::MarketId&) const override {
+    return band;
+  }
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 using cloud::InstanceSize;
 using cloud::MarketId;
@@ -122,8 +144,8 @@ TEST_F(MarketWatcherTest, FanOutFollowsRegistrationOrder) {
       [&](const MarketWatcher::Trigger&) { order.push_back(1); });
   const auto second = add_listener(
       [&](const MarketWatcher::Trigger&) { order.push_back(2); });
-  // Watch in reverse order: delivery must still follow listener
-  // registration, which is what fleet determinism keys on.
+  // Watch in reverse registration order: delivery follows watch order,
+  // which is what fleet determinism keys on.
   watcher_->watch(second, {kA});
   watcher_->watch(first, {kA});
   sim_->run_until(90 * kMinute);  // one step at 1 h
@@ -239,6 +261,132 @@ TEST_F(MarketWatcherTest, ArmedRevocationRoutesWarningToListener) {
   EXPECT_EQ(warnings[0].t_term, kHour + provider_->grace_period());
 }
 
+TEST_F(MarketWatcherTest, OverlappingAndRepeatedWatchesDeliverOncePerStep) {
+  int fired = 0;
+  const auto id = add_listener([&](const MarketWatcher::Trigger& t) {
+    if (t.kind == MarketWatcher::TriggerKind::kPriceChange && t.market == kPushA) {
+      ++fired;
+    }
+  });
+  watcher_->watch(id, {kPushA, kPushB});
+  watcher_->watch(id, {kPushB, kPushA});
+  watcher_->watch(id, {kPushA, kPushA});
+  provider_->market(kPushA).push_price(0.03);
+  provider_->market(kPushA).push_price(0.04);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(watcher_->price_deliveries(), 2u);
+  EXPECT_EQ(watcher_->provider_subscriptions(), 2u);
+}
+
+TEST_F(MarketWatcherTest, DefaultBandWakesOnEveryStep) {
+  // FnListener does not override price_band: full wake, as before bands.
+  int fired = 0;
+  const auto id = add_listener([&](const MarketWatcher::Trigger&) { ++fired; });
+  watcher_->watch(id, {kPushA});
+  for (const double p : {0.02, 0.02, 0.5, 0.001}) {
+    provider_->market(kPushA).push_price(p);
+  }
+  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(watcher_->price_deliveries(), 4u);
+}
+
+TEST_F(MarketWatcherTest, ListenerIsCalledOnlyOutsideItsBand) {
+  BandListener listener;
+  listener.band = PriceBand{-kInf, 0.05};  // a no-op below 0.05
+  const auto id = watcher_->add_listener(&listener);
+  watcher_->watch(id, {kPushA});
+  auto& market = provider_->market(kPushA);
+  market.push_price(0.03);
+  market.push_price(0.0499);
+  EXPECT_EQ(listener.deliveries, 0);
+  market.push_price(0.05);  // lo is inclusive, hi exclusive
+  EXPECT_EQ(listener.deliveries, 1);
+  listener.band = PriceBand{0.05, kInf};
+  watcher_->refresh(id);
+  market.push_price(0.07);
+  EXPECT_EQ(listener.deliveries, 1);
+  market.push_price(0.01);
+  EXPECT_EQ(listener.deliveries, 2);
+  listener.band = PriceBand::everything();
+  watcher_->refresh(id);
+  market.push_price(0.5);
+  market.push_price(0.001);
+  EXPECT_EQ(listener.deliveries, 2);
+  EXPECT_EQ(watcher_->price_deliveries(), 2u);
+}
+
+TEST_F(MarketWatcherTest, BandIsReReadAfterEachDelivery) {
+  // The watcher asks for the band again after each trigger it delivers: a
+  // listener that settles inside its band is not woken by the next step.
+  BandListener listener;
+  listener.on_delivery = [&] { listener.band = PriceBand::everything(); };
+  const auto id = watcher_->add_listener(&listener);
+  watcher_->watch(id, {kPushA});
+  provider_->market(kPushA).push_price(0.03);
+  provider_->market(kPushA).push_price(0.04);
+  EXPECT_EQ(listener.deliveries, 1);
+}
+
+TEST_F(MarketWatcherTest, BandsFollowListenersThroughATombstoneSweep) {
+  // Enough listeners that removing most of them triggers a sweep; the
+  // survivors' (market, slot) records must follow their moved entries.
+  std::vector<std::unique_ptr<BandListener>> listeners;
+  std::vector<MarketWatcher::ListenerId> ids;
+  for (int i = 0; i < 40; ++i) {
+    listeners.push_back(std::make_unique<BandListener>());
+    listeners.back()->band = PriceBand::everything();
+    ids.push_back(watcher_->add_listener(listeners.back().get()));
+    watcher_->watch(ids.back(), {kPushA});
+  }
+  for (int i = 0; i < 40; ++i) {
+    if (i % 10 != 9) watcher_->remove_listener(ids[static_cast<std::size_t>(i)]);
+  }
+  auto& market = provider_->market(kPushA);
+  market.push_price(0.03);  // sweeps 36 of 40 entries
+  for (const auto& l : listeners) EXPECT_EQ(l->deliveries, 0);
+  // Open one survivor's band: only it may wake.
+  listeners[19]->band = PriceBand{};
+  watcher_->refresh(ids[19]);
+  market.push_price(0.04);
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(listeners[static_cast<std::size_t>(i)]->deliveries, i == 19 ? 1 : 0)
+        << "listener " << i;
+  }
+}
+
+TEST_F(MarketWatcherTest, OracleDeliversEveryStepToEveryListener) {
+  BandListener listener;
+  listener.band = PriceBand::everything();
+  const auto id = watcher_->add_listener(&listener);
+  watcher_->watch(id, {kPushA});
+  MarketWatcherTestPeer::deliver_to_all(*watcher_);
+  provider_->market(kPushA).push_price(0.03);
+  provider_->market(kPushA).push_price(0.04);
+  EXPECT_EQ(listener.deliveries, 2);
+  EXPECT_EQ(watcher_->price_deliveries(), 2u);
+}
+
+TEST_F(MarketWatcherTest, OracleNamesAListenerWhoseBandWentStale) {
+  BandListener fresh;
+  BandListener stale;
+  const auto fresh_id = watcher_->add_listener(&fresh);
+  const auto stale_id = watcher_->add_listener(&stale);
+  watcher_->watch(fresh_id, {kPushA});
+  watcher_->watch(stale_id, {kPushA});
+  MarketWatcherTestPeer::deliver_to_all(*watcher_);
+  stale.band = PriceBand::everything();  // changed without a refresh
+  try {
+    provider_->market(kPushA).push_price(0.03);
+    FAIL() << "a stale band went unnoticed";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("listener " + std::to_string(stale_id)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(fresh.deliveries, 1);
+  EXPECT_EQ(stale.deliveries, 0);
+}
+
 TEST(CrossingDetector, FirstObservationBelowIsSteadyState) {
   CrossingDetector d;
   EXPECT_EQ(d.observe(false), CrossingDetector::Edge::kNone);
@@ -258,6 +406,25 @@ TEST(CrossingDetector, ReportsEachTransitionOnce) {
   EXPECT_EQ(d.observe(true), CrossingDetector::Edge::kNone);
   EXPECT_EQ(d.observe(false), CrossingDetector::Edge::kDown);
   EXPECT_EQ(d.observe(false), CrossingDetector::Edge::kNone);
+}
+
+TEST(CrossingDetector, ObservingBelowFirstChangesNoLaterEdge) {
+  // A skipped below-threshold tick leaves a fresh detector fresh in effect:
+  // for every sequence X, "below, then X" reports X's edges exactly.
+  for (int bits = 0; bits < (1 << 6); ++bits) {
+    for (int len = 1; len <= 6; ++len) {
+      CrossingDetector direct;
+      CrossingDetector primed;
+      EXPECT_EQ(primed.observe(false), CrossingDetector::Edge::kNone);
+      EXPECT_EQ(primed.above(), direct.above());
+      for (int i = 0; i < len; ++i) {
+        const bool above = ((bits >> i) & 1) != 0;
+        EXPECT_EQ(primed.observe(above), direct.observe(above))
+            << "sequence " << bits << " length " << len << " step " << i;
+        EXPECT_EQ(primed.above(), direct.above());
+      }
+    }
+  }
 }
 
 TEST(CrossingDetector, ResetForgetsHistory) {
