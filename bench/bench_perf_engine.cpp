@@ -1,5 +1,6 @@
 // Engine performance microbenchmarks (google-benchmark): event-queue
-// throughput, synthetic trace generation, and complete hosting runs.
+// throughput, synthetic trace generation and memoization, and complete
+// hosting runs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -189,6 +190,44 @@ void BM_SweepThroughput(benchmark::State& state) {
   state.SetItemsProcessed(12 * state.iterations());
 }
 BENCHMARK(BM_SweepThroughput);
+
+// The paper sweep's trace set-up: its ten scenario shapes (each canonical
+// region alone, as Figs. 6-8 and 11 use them, and Fig. 9's six region
+// pairs) x 4 seeds into a fresh TraceCache. The pairs reuse the markets the
+// single-region sets generated, so "market_generations" reads 64 (16
+// markets x 4 seeds) against 40 "sets".
+void BM_PaperSweepTraceFill(benchmark::State& state) {
+  const auto regions = trace::canonical_regions();
+  std::vector<sched::Scenario> shapes;
+  for (const auto region : regions) {
+    shapes.push_back(sched::Scenario{.horizon = 30 * sim::kDay,
+                                     .regions = {std::string(region)}});
+  }
+  for (std::size_t a = 0; a < regions.size(); ++a) {
+    for (std::size_t b = a + 1; b < regions.size(); ++b) {
+      shapes.push_back(sched::Scenario{
+          .horizon = 30 * sim::kDay,
+          .regions = {std::string(regions[a]), std::string(regions[b])}});
+    }
+  }
+  std::size_t sets = 0;
+  std::size_t market_generations = 0;
+  for (auto _ : state) {
+    sched::TraceCache cache;
+    for (int i = 0; i < 4; ++i) {
+      for (auto s : shapes) {
+        s.seed = metrics::run_seed(20150615, i);
+        benchmark::DoNotOptimize(cache.get(s).get());
+      }
+    }
+    sets = cache.generations();
+    market_generations = cache.market_generations();
+  }
+  state.counters["sets"] = benchmark::Counter(static_cast<double>(sets));
+  state.counters["market_generations"] =
+      benchmark::Counter(static_cast<double>(market_generations));
+}
+BENCHMARK(BM_PaperSweepTraceFill)->Unit(benchmark::kMillisecond);
 
 void BM_MvaSolve(benchmark::State& state) {
   const std::array<workload::Station, 2> stations{

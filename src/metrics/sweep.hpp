@@ -5,9 +5,10 @@
 // Compared with calling ExperimentRunner once per arm, a sweep
 //   * keeps the machine busy across arm boundaries — the pool schedules
 //     arms*runs cells instead of draining between arms, and
-//   * memoizes market traces — cells that share (scenario, seed) share one
-//     generated MarketTraceSet (fig08 regenerates each region's traces six
-//     times without this).
+//   * memoizes market traces — each market is generated once per seed, and
+//     cells that share (scenario, seed) share one MarketTraceSet (without
+//     this, every fig08 arm would regenerate its region's four traces, and
+//     fig09's region pairs would rebuild markets fig08 already built).
 // Per-cell seeds (run_seed) and aggregation (aggregate_runs) are exactly
 // ExperimentRunner's, so every printed table is byte-identical to the
 // serial per-arm harness.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace spothost::trace {
@@ -111,36 +110,36 @@ PriceTrace SyntheticSpotModel::generate(const MarketProfile& profile,
   }
 
   // 3. Merge into a step function: evaluate at every base change, spike ramp
-  // step, and spike end; price = max(base, active spike levels).
-  std::map<sim::SimTime, char> breakpoints;  // value unused; map = sorted set
-  for (const auto& b : base) breakpoints[b.time];
+  // step, and spike end; price = max(base, active spike levels). Sorted and
+  // de-duplicated, the breakpoints ascend strictly, so the governing base
+  // level is found by walking forward through `base`, not by a search.
+  std::size_t n_breakpoints = base.size();
+  for (const auto& s : spikes) {
+    n_breakpoints += static_cast<std::size_t>(s.ramp_steps) + 1;
+  }
+  std::vector<sim::SimTime> breakpoints;
+  breakpoints.reserve(n_breakpoints);
+  for (const auto& b : base) breakpoints.push_back(b.time);
   for (const auto& s : spikes) {
     for (int r = 0; r < s.ramp_steps; ++r) {
       const sim::SimTime rt = s.start + static_cast<sim::SimTime>(r) * s.ramp_spacing;
-      if (rt < horizon) breakpoints[rt];
+      if (rt < horizon) breakpoints.push_back(rt);
     }
-    if (s.end < horizon) breakpoints[s.end];
+    if (s.end < horizon) breakpoints.push_back(s.end);
   }
-
-  auto base_at = [&](sim::SimTime when) {
-    auto it = std::upper_bound(
-        base.begin(), base.end(), when,
-        [](sim::SimTime lhs, const PricePoint& p) { return lhs < p.time; });
-    return std::prev(it)->price;
-  };
+  std::sort(breakpoints.begin(), breakpoints.end());
+  breakpoints.erase(std::unique(breakpoints.begin(), breakpoints.end()),
+                    breakpoints.end());
 
   PriceTrace out;
-  for (const auto& [when, unused] : breakpoints) {
-    (void)unused;
-    double price = base_at(when);
+  std::size_t b = 0;  // base[b] governs `when`: the last base change <= when
+  for (const sim::SimTime when : breakpoints) {
+    while (b + 1 < base.size() && base[b + 1].time <= when) ++b;
+    double price = base[b].price;
     for (const auto& s : spikes) {
       price = std::max(price, spike_level_at(s, when, price));
     }
-    if (out.empty()) {
-      out.append(when, price);
-    } else if (when > out.points().back().time) {
-      out.append(when, price);
-    }
+    out.append(when, price);  // breakpoints strictly ascend
   }
   out.set_end(horizon);
   return out;

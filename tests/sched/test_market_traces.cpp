@@ -5,10 +5,12 @@
 #include <filesystem>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
 #include "trace/csv.hpp"
+#include "trace_set_expect.hpp"
 
 namespace spothost::sched {
 namespace {
@@ -148,9 +150,74 @@ TEST(TraceCache, MemoizesBySeedAndCountsHits) {
   EXPECT_EQ(cache.generations(), 3u);
 }
 
+TEST(TraceCache, OverlappingSetsShareMarketEntries) {
+  TraceCache cache;
+  const auto single = cache.get(one_region_scenario());
+  auto pair_scenario = one_region_scenario();
+  pair_scenario.regions = {"us-east-1a", "us-east-1b"};
+  const auto pair = cache.get(pair_scenario);
+
+  // The pair reuses the single region's four markets: same objects, and
+  // only us-east-1b's four are generated for it.
+  const cloud::MarketId small{"us-east-1a", InstanceSize::kSmall};
+  EXPECT_EQ(&pair->prices(small), &single->prices(small));
+  EXPECT_EQ(cache.market_generations(), 8u);
+  EXPECT_EQ(cache.generations(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);
+}
+
+TEST(TraceCache, MatchesUncachedGenerationBitForBit) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "spothost_trace_cache_MatchesUncachedGenerationBitForBit";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    trace::PriceTrace measured;
+    measured.append(0, 0.05);
+    measured.append(3 * kDay, 0.4);
+    measured.append(3 * kDay + sim::kHour, 0.06);
+    measured.set_end(30 * kDay);
+    trace::save_csv_file(measured, (dir / "us-east-1a_small.csv").string());
+  }
+
+  // The paper sweep's ten shapes (four regions alone, six region pairs),
+  // one pair in the other region order, a sizes subset, and a trace_dir
+  // holding one CSV override; three seeds, all on one cache so that later
+  // shapes reuse earlier shapes' markets.
+  std::vector<Scenario> shapes;
+  const std::vector<std::string> regions{"us-east-1a", "us-east-1b",
+                                         "us-west-1a", "eu-west-1a"};
+  for (const auto& r : regions) shapes.push_back(Scenario{.regions = {r}});
+  for (std::size_t a = 0; a < regions.size(); ++a) {
+    for (std::size_t b = a + 1; b < regions.size(); ++b) {
+      shapes.push_back(Scenario{.regions = {regions[a], regions[b]}});
+    }
+  }
+  shapes.push_back(Scenario{.regions = {"us-east-1b", "us-east-1a"}});
+  shapes.push_back(Scenario{.regions = {"us-west-1a"},
+                            .sizes = {InstanceSize::kLarge, InstanceSize::kSmall}});
+  shapes.push_back(Scenario{.regions = {"us-east-1a", "us-east-1b"},
+                            .trace_dir = dir.string()});
+
+  TraceCache cache;
+  for (const std::uint64_t seed : {7u, 8u, 9u}) {
+    for (auto scenario : shapes) {
+      scenario.seed = seed;
+      scenario.horizon = 30 * kDay;
+      SCOPED_TRACE(MarketTraceSet::cache_key(scenario));
+      expect_same_markets(*cache.get(scenario), *MarketTraceSet::generate(scenario));
+    }
+  }
+  // Per seed: the 16 canonical markets once, plus the trace_dir shape's 8.
+  EXPECT_EQ(cache.market_generations(), 3u * (16u + 8u));
+  EXPECT_EQ(cache.generations(), 3u * shapes.size());
+  std::filesystem::remove_all(dir);
+}
+
 // Scratch directory holding one measured-trace CSV for us-east-1a/small.
-// Writing a trace shorter than the scenario horizon makes generate() throw;
-// rewriting it long enough repairs the same cache key in place.
+// Writing a trace shorter than the scenario horizon, or one that starts
+// after t = 0, makes generate() throw; rewriting it to cover the horizon
+// repairs the same cache key in place.
 class TraceCacheFailure : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -165,8 +232,12 @@ class TraceCacheFailure : public ::testing::Test {
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   void write_trace_ending_at(sim::SimTime end) {
+    write_trace(0, end);
+  }
+
+  void write_trace(sim::SimTime start, sim::SimTime end) {
     trace::PriceTrace t;
-    t.append(0, 0.05);
+    t.append(start, 0.05);
     t.set_end(end);
     trace::save_csv_file(t, (dir_ / "us-east-1a_small.csv").string());
   }
@@ -217,6 +288,35 @@ TEST_F(TraceCacheFailure, ConcurrentWaitersAllObserveTheException) {
 
   write_trace_ending_at(6 * kDay);
   EXPECT_NO_THROW((void)cache.get(scenario));
+}
+
+// A measured trace whose first row comes after t = 0 leaves the price
+// unknown before it, so billing would fail partway through the run;
+// generation must reject it, naming the file.
+TEST_F(TraceCacheFailure, TraceStartingAfterScenarioStartIsRejected) {
+  write_trace(10 * sim::kMinute, 6 * kDay);
+  const auto scenario = csv_scenario();
+  try {
+    (void)MarketTraceSet::generate(scenario);
+    ADD_FAILURE() << "a trace starting at 10 min was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("us-east-1a_small.csv"), std::string::npos) << what;
+    EXPECT_NE(what.find("starts after the scenario start"), std::string::npos)
+        << what;
+  }
+  EXPECT_THROW(World{scenario}, std::invalid_argument);
+
+  TraceCache cache;
+  EXPECT_THROW((void)cache.get(scenario), std::invalid_argument);
+  EXPECT_EQ(cache.market_generations(), 4u);
+
+  // Only the failed market was evicted: a repaired file regenerates it, and
+  // the three synthetic markets come from the memo.
+  write_trace_ending_at(6 * kDay);
+  const auto set = cache.get(scenario);
+  EXPECT_EQ(set->prices({"us-east-1a", InstanceSize::kSmall}).start(), 0);
+  EXPECT_EQ(cache.market_generations(), 5u);
 }
 
 }  // namespace

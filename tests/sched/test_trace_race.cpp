@@ -12,11 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <string>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
 #include "sched/market_traces.hpp"
 #include "trace/stats.hpp"
+#include "trace_set_expect.hpp"
 
 namespace spothost::sched {
 namespace {
@@ -114,6 +116,51 @@ TEST(TraceRaceStress, TraceCacheAndSharedSetsHammeredTogether) {
   EXPECT_NE(sets[0], sets[1]);
   EXPECT_EQ(cache.generations(), 2u);
   EXPECT_EQ(cache.hits(), 30u);
+}
+
+TEST(TraceRaceStress, OverlappingSetsFromAllPoolThreads) {
+  // {A}, {B}, {A,B} and {B,A} of five seeds, requested three times over from
+  // every pool thread at once: callers claim overlapping markets in opposite
+  // orders and wait on each other's claims. All of them must finish, each
+  // distinct market must be generated exactly once, and every set must
+  // equal serial generation.
+  const std::vector<std::vector<std::string>> shapes{
+      {"us-east-1a"},
+      {"us-west-1a"},
+      {"us-east-1a", "us-west-1a"},
+      {"us-west-1a", "us-east-1a"}};
+  std::vector<Scenario> requests;
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint64_t seed = 4242; seed < 4247; ++seed) {
+      for (const auto& regions : shapes) {
+        Scenario s = stress_scenario(seed);
+        s.regions = regions;
+        requests.push_back(s);
+      }
+    }
+  }
+
+  TraceCache cache;
+  exec::ThreadPool pool(8);
+  std::vector<std::future<std::shared_ptr<const MarketTraceSet>>> results;
+  results.reserve(requests.size());
+  for (const auto& s : requests) {
+    results.push_back(pool.submit([&cache, s] { return cache.get(s); }));
+  }
+  std::vector<std::shared_ptr<const MarketTraceSet>> sets;
+  for (auto& r : results) sets.push_back(r.get());
+
+  const std::size_t distinct = 5 * shapes.size();
+  EXPECT_EQ(cache.market_generations(), 5u * 8u);  // 5 seeds x 2 regions x 4 sizes
+  EXPECT_EQ(cache.generations(), distinct);
+  EXPECT_EQ(cache.hits(), requests.size() - distinct);
+  for (std::size_t i = 0; i < distinct; ++i) {
+    const auto serial = MarketTraceSet::generate(requests[i]);
+    for (std::size_t j = i; j < requests.size(); j += distinct) {
+      EXPECT_EQ(sets[j].get(), sets[i].get());  // one set object per key
+    }
+    expect_same_markets(*sets[i], *serial);
+  }
 }
 
 }  // namespace

@@ -145,6 +145,32 @@ TEST(Synthetic, SharedScheduleScalesWithConsumerPrice) {
   EXPECT_NEAR(large.max_price(0, kMonth) / small.max_price(0, kMonth), 4.0, 0.2);
 }
 
+TEST(Synthetic, CoincidingBreakpointsMergeIntoOnePoint) {
+  // A spike starting with the base walk at t = 0, and two identical spikes,
+  // put the same instant into the merge more than once. A step function has
+  // one value per instant, so each instant must yield one point.
+  MarketProfile p = default_profile();
+  p.shared_spike_fraction = 1.0;  // adopt every shared spike
+  p.spike_rate_per_day = 0.0;
+  SpikeEvent at_zero;
+  at_zero.start = 0;
+  at_zero.end = kHour;
+  at_zero.magnitude = 3.0;  // x p_on
+  SpikeEvent later = at_zero;
+  later.start = 5 * kHour;
+  later.end = 6 * kHour;
+  const SharedSpikeSchedule shared({at_zero, later, later});
+  sim::RngFactory f(12);
+  auto rng = f.stream("m");
+  const auto t = SyntheticSpotModel::generate(p, kPon, kDay, rng, &shared);
+  for (std::size_t i = 1; i < t.size(); ++i) {
+    EXPECT_LT(t.points()[i - 1].time, t.points()[i].time);
+  }
+  EXPECT_DOUBLE_EQ(t.price_at(0), 3.0 * kPon);
+  EXPECT_DOUBLE_EQ(t.price_at(5 * kHour), 3.0 * kPon);
+  EXPECT_LT(t.price_at(6 * kHour), kPon);
+}
+
 TEST(Synthetic, RejectsBadArguments) {
   sim::RngFactory f(11);
   auto rng = f.stream("m");
