@@ -1,9 +1,11 @@
 // Engine performance microbenchmarks (google-benchmark): event-queue
-// throughput, synthetic trace generation and memoization, and complete
-// hosting runs.
+// throughput, synthetic trace generation and memoization, complete hosting
+// runs, and the serve feed reader.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 
 #include "simcore/timing_wheel.hpp"
 #include "spothost.hpp"
@@ -228,6 +230,42 @@ void BM_PaperSweepTraceFill(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(market_generations));
 }
 BENCHMARK(BM_PaperSweepTraceFill)->Unit(benchmark::kMillisecond);
+
+// The serve feed reader: one FileTailFeed pump of a generated 100k-row CSV
+// (the 16 canonical markets, in time order), from a fresh feed each
+// iteration. "rows/s" is the parse rate.
+void BM_FeedParse(benchmark::State& state) {
+  constexpr std::size_t kRows = 100000;
+  const auto path =
+      (std::filesystem::temp_directory_path() / "spothost_bench_feed_parse.csv").string();
+  {
+    std::vector<std::string> markets;
+    for (const auto region : trace::canonical_regions()) {
+      for (const char* size : {"small", "medium", "large", "xlarge"}) {
+        markets.push_back(std::string(region) + "/" + size);
+      }
+    }
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "time,market,price\n";
+    std::uint64_t rng_state = 11;
+    for (std::size_t i = 0; i < kRows; ++i) {
+      const auto price = 0.01 + static_cast<double>(sim::splitmix64(rng_state) % 10000) / 1e5;
+      out << i * 1000 << ',' << markets[i % markets.size()] << ',' << price << '\n';
+    }
+    out << "end," << kRows * 1000 << '\n';
+  }
+  std::size_t rows = 0;
+  for (auto _ : state) {
+    live::FileTailFeed feed(path);
+    rows = feed.pump();
+    benchmark::DoNotOptimize(rows);
+  }
+  std::filesystem::remove(path);
+  if (rows != kRows) state.SkipWithError("the feed reader dropped rows");
+  state.counters["rows/s"] = benchmark::Counter(
+      static_cast<double>(kRows), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_FeedParse)->Unit(benchmark::kMillisecond);
 
 void BM_MvaSolve(benchmark::State& state) {
   const std::array<workload::Station, 2> stations{

@@ -16,11 +16,8 @@ void FeedDriver::start() {
   // trace-fed markets — this fixes the schedule-seq assignment of the first
   // chain events, which the parity contract depends on.
   for (const cloud::MarketId& id : provider_.all_markets()) {
-    if (!provider_.market(id).push_fed()) continue;
-    Chain c;
-    c.id = id;
-    c.key = id.str();
-    chains_.push_back(std::move(c));
+    cloud::SpotMarket& market = provider_.market(id);
+    if (market.push_fed()) chains_.push_back(Chain{id.str(), &market});
   }
   for (std::size_t i = 0; i < chains_.size(); ++i) advance(i);
 }
@@ -28,8 +25,7 @@ void FeedDriver::start() {
 void FeedDriver::advance(std::size_t idx) {
   Chain& c = chains_[idx];
   if (c.state == ChainState::kScheduled || c.state == ChainState::kEnded) return;
-  cloud::SpotMarket& market = provider_.market(c.id);
-  PriceUpdate u;
+  PriceUpdate& u = c.staged;
   for (;;) {
     switch (feed_.next(c.key, u)) {
       case PriceFeed::Status::kEnd:
@@ -46,33 +42,34 @@ void FeedDriver::advance(std::size_t idx) {
         break;
     }
     if (!c.primed) {
-      market.prime(u.price);
+      c.market->prime(u.price);
       c.primed = true;
       continue;
     }
     if (u.time <= clock_.now()) {
       // Already due (tail mode catching up after a stall): deliver now.
-      market.push_price(u.price);
+      c.market->push_price(u.price);
       ++delivered_;
       if (hook_) hook_(u);
       continue;
     }
-    market.stage(u.time, u.price);
+    c.market->stage(u.time, u.price);
     c.state = ChainState::kScheduled;
-    c.event = clock_.at(u.time, [this, idx, u] { on_fire(idx, u); });
+    auto fire = [this, idx] { on_fire(idx); };
+    static_assert(sim::Callback::stores_inline<decltype(fire)>());
+    clock_.at(u.time, fire);
     return;
   }
 }
 
-void FeedDriver::on_fire(std::size_t idx, const PriceUpdate& update) {
+void FeedDriver::on_fire(std::size_t idx) {
   Chain& c = chains_[idx];
-  c.event.reset();
   c.state = ChainState::kIdle;
   // Commit (observers fire) before pulling/scheduling the next update —
   // mirrors trace mode's "dispatch(price); schedule_next(time);".
-  provider_.market(c.id).commit_staged();
+  c.market->commit_staged();
   ++delivered_;
-  if (hook_) hook_(update);
+  if (hook_) hook_(c.staged);
   advance(idx);
 }
 

@@ -69,17 +69,19 @@ class FeedDriver {
   };
 
   struct Chain {
-    cloud::MarketId id;
-    std::string key;  ///< feed key = MarketId::str()
+    std::string key;                      ///< feed key = MarketId::str()
+    cloud::SpotMarket* market = nullptr;  ///< resolved once, in start()
     ChainState state = ChainState::kIdle;
-    sim::EventHandle event;
     bool primed = false;
+    /// The last update pulled; while kScheduled, the one the chain's event
+    /// commits. Kept here so the event captures only [this, idx].
+    PriceUpdate staged{};
   };
 
   /// Pulls updates for chain `idx` until one is scheduled in the future,
   /// the feed blocks, or the stream ends.
   void advance(std::size_t idx);
-  void on_fire(std::size_t idx, const PriceUpdate& update);
+  void on_fire(std::size_t idx);
 
   sim::Clock& clock_;
   cloud::CloudProvider& provider_;

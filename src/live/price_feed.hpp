@@ -1,32 +1,48 @@
 // Price feeds: where live price updates come from.
 //
-// A PriceFeed is a pull-based, per-market stream of (time, market, price)
-// updates. The FeedDriver (live/feed_driver.hpp) pulls from it and steps the
+// A PriceFeed is a pull-based, per-market stream of (time, price) updates.
+// The FeedDriver (live/feed_driver.hpp) pulls from it and steps the
 // push-fed SpotMarkets; the feed itself knows nothing about the cloud layer.
 // Two implementations:
 //
 //   * TraceReplayFeed — adapts pre-loaded trace::PriceTrace objects (e.g. a
 //     generated MarketTraceSet or a recorded file). Pure and deterministic:
 //     this is the source for the sim/live parity golden test.
-//   * FileTailFeed — tails a growing CSV/JSONL file, tail -f style. Reads
-//     only complete newline-terminated lines (a writer caught mid-line is
-//     picked up on the next pump), resumes at its byte offset, demuxes rows
-//     per market, and rejects malformed or out-of-order rows with the line
-//     number so operators can find them.
+//   * FileTailFeed — tails a growing CSV/JSONL file, tail -f style. Reads new
+//     bytes in fixed 1 MiB blocks and parses each complete newline-terminated
+//     line in place, as a view into the block; only a line that straddles a
+//     block or pump boundary is copied (a writer caught mid-line is picked up
+//     on the next pump). It resumes at its byte offset, demuxes rows per
+//     market, and rejects malformed or out-of-order rows with the line number
+//     so operators can find them.
 //
-// File format (one row per price change):
+// File format (one row per price change; a trailing \r is dropped):
 //     time_ms,market,price          e.g.  3600000,us-east-1a/large,0.171
 //     {"t":3600000,"market":"us-east-1a/large","price":0.171}   (JSONL)
 //     # comment lines and a "time,..." header are skipped
 //     end,<time_ms>                 sentinel: feed is complete through time_ms
+//
+// Numbers are parsed by std::from_chars alone:
+//   * a CSV time_ms (the sentinel's too) is ASCII digits that fit an int64:
+//     no sign, no blanks, no fraction or exponent;
+//   * a CSV price is one decimal floating-point number ([-]digits[.digits]
+//     [e[+|-]digits]) that spans the rest of the row;
+//   * a JSONL "t" or "price" is the same floating-point number, with
+//     optional blanks around it, followed by `,` or `}`. "t" must be finite
+//     and in [0, 2^63); a fraction is truncated to whole milliseconds.
+// Every price must be finite and > 0. A leading blank or `+`, a hex float, a
+// `-0` time and any byte after a number make the row malformed: it is
+// rejected and counted, never guessed at.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <deque>
 #include <fstream>
-#include <optional>
+#include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -35,14 +51,15 @@
 
 namespace spothost::live {
 
-/// One price change, as read from a feed.
+/// One price change, as read from a feed: 24 bytes and trivially copyable.
+/// Its market is the key it was pulled for (PriceFeed::next).
 struct PriceUpdate {
   sim::SimTime time = 0;  ///< virtual (feed) timestamp, milliseconds
-  std::string market;     ///< market key, e.g. "us-east-1a/large"
   double price = 0.0;
-  /// Wall instant the update was read off the feed (set by tailing feeds;
-  /// epoch for replay feeds). The serve loop measures delivery latency as
-  /// steady_clock::now() - read_at when the update reaches the policy layer.
+  /// Wall instant at which the pump that read this update began reading
+  /// (set by tailing feeds, one per pump; epoch for replay feeds). The serve
+  /// loop measures delivery latency as steady_clock::now() - read_at when
+  /// the update reaches the policy layer.
   std::chrono::steady_clock::time_point read_at{};
 };
 
@@ -88,6 +105,10 @@ class TraceReplayFeed final : public PriceFeed {
 /// Tails a growing CSV/JSONL price file.
 class FileTailFeed final : public PriceFeed {
  public:
+  /// Bytes per file read. A pump reads as many blocks as the file grew by
+  /// and parses each in place, so a pump's memory does not grow with it.
+  static constexpr std::size_t kReadBlockBytes = std::size_t{1} << 20;
+
   struct Options {
     /// Markets to accept. Empty = accept every market seen (keys are then
     /// discovered in file order).
@@ -131,16 +152,26 @@ class FileTailFeed final : public PriceFeed {
     std::deque<PriceUpdate> buffered;
     sim::SimTime last_time = -1;  ///< last accepted timestamp (strictly increasing)
   };
+  /// Lets streams_ be searched by string_view: a market's key is copied
+  /// once, when the market is first seen.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
 
-  void handle_line(const std::string& line);
-  void reject(const std::string& message);
-  Stream* stream_for(const std::string& market);
+  void handle_line(std::string_view line, std::chrono::steady_clock::time_point read_at);
+  /// Counts a rejected row; keeps `what` + `line` while errors_ has room.
+  void reject(std::string_view what, std::string_view line = {});
+  Stream* stream_for(std::string_view market);
 
   std::string path_;
   Options options_;
   std::ifstream file_;
   std::streamoff pos_ = 0;     ///< byte offset of the next unread byte
-  std::string partial_;        ///< incomplete trailing line from the last pump
+  std::unique_ptr<char[]> block_;  ///< kReadBlockBytes, allocated by the first read
+  std::string partial_;        ///< line straddling the last block or pump read
   std::size_t line_no_ = 0;    ///< 1-based number of the line being parsed
   /// First bytes ever read from offset 0 (up to 64). A rewrite that grows
   /// the file past the saved offset would otherwise go unnoticed and be
@@ -150,7 +181,7 @@ class FileTailFeed final : public PriceFeed {
   std::string prefix_sig_;
 
   std::vector<std::string> order_;
-  std::unordered_map<std::string, Stream> streams_;
+  std::unordered_map<std::string, Stream, KeyHash, std::equal_to<>> streams_;
   bool ended_ = false;
   sim::SimTime end_time_ = 0;
 

@@ -183,7 +183,7 @@ TEST_F(ProviderTest, UnknownMarketThrows) {
 }
 
 TEST_F(ProviderTest, UnknownInstanceThrows) {
-  EXPECT_THROW(provider_.instance(987654), std::out_of_range);
+  EXPECT_THROW((void)provider_.instance(987654), std::out_of_range);
 }
 
 TEST_F(ProviderTest, RegionAndMarketEnumeration) {

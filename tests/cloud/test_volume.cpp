@@ -129,7 +129,7 @@ TEST_F(VolumeTest, RehomeAttachedVolumeRejected) {
 }
 
 TEST_F(VolumeTest, UnknownVolumeThrows) {
-  EXPECT_THROW(volumes_.volume(404), std::out_of_range);
+  EXPECT_THROW((void)volumes_.volume(404), std::out_of_range);
   EXPECT_THROW(volumes_.detach(404), std::out_of_range);
 }
 

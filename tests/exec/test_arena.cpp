@@ -47,7 +47,7 @@ TEST(FixedArena, AtRangeChecks) {
   FixedArena<int> a(3);
   a.emplace_back(5);
   EXPECT_EQ(a.at(0), 5);
-  EXPECT_THROW(a.at(1), std::out_of_range);  // within capacity, past size
+  EXPECT_THROW((void)a.at(1), std::out_of_range);  // within capacity, past size
 }
 
 TEST(FixedArena, IterationWalksConstructionOrder) {

@@ -140,7 +140,7 @@ TEST(SweepRunner, ArmAccessorsRoundTrip) {
   EXPECT_EQ(sweep.arm_count(), 1);
   EXPECT_EQ(sweep.arm(0).label, "label");
   EXPECT_EQ(sweep.runs(), 1);
-  EXPECT_THROW(sweep.arm(1), std::out_of_range);
+  EXPECT_THROW((void)sweep.arm(1), std::out_of_range);
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ TEST_F(BiddingTest, ProactiveMultipleMustExceedOne) {
   BidPolicy p;
   p.proactive_multiple = 1.0;
   EXPECT_THROW(
-      p.bid_for(provider_, MarketId{"us-east-1a", InstanceSize::kSmall}),
+      (void)p.bid_for(provider_, MarketId{"us-east-1a", InstanceSize::kSmall}),
       std::logic_error);
 }
 

@@ -273,7 +273,7 @@ TEST_F(FleetTest, AccessorsExposeUnits) {
   EXPECT_EQ(fleet.size(), 2);
   EXPECT_EQ(fleet.service(0).name(), "svc-0");
   EXPECT_EQ(fleet.service(1).name(), "svc-1");
-  EXPECT_THROW(fleet.service(2), std::out_of_range);
+  EXPECT_THROW((void)fleet.service(2), std::out_of_range);
 }
 
 }  // namespace

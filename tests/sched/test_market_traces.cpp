@@ -81,8 +81,8 @@ TEST(MarketTraceSet, RejectsMismatchedScenario) {
 
 TEST(MarketTraceSet, PricesThrowsForUnknownMarket) {
   const auto traces = MarketTraceSet::generate(one_region_scenario());
-  EXPECT_NO_THROW(traces->prices({"us-east-1a", InstanceSize::kSmall}));
-  EXPECT_THROW(traces->prices({"eu-west-1a", InstanceSize::kSmall}),
+  EXPECT_NO_THROW((void)traces->prices({"us-east-1a", InstanceSize::kSmall}));
+  EXPECT_THROW((void)traces->prices({"eu-west-1a", InstanceSize::kSmall}),
                std::out_of_range);
 }
 

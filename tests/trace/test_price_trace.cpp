@@ -28,8 +28,8 @@ TEST(PriceTrace, PriceAtLooksUpGoverningSegment) {
 
 TEST(PriceTrace, QueryOutsideWindowThrows) {
   const auto t = make_simple();
-  EXPECT_THROW(t.price_at(-1), std::out_of_range);
-  EXPECT_THROW(t.price_at(kHour), std::out_of_range);
+  EXPECT_THROW((void)t.price_at(-1), std::out_of_range);
+  EXPECT_THROW((void)t.price_at(kHour), std::out_of_range);
 }
 
 TEST(PriceTrace, AppendRejectsNonIncreasingTime) {
@@ -122,13 +122,13 @@ TEST(PriceTrace, ConstructFromPointsValidates) {
 TEST(PriceTrace, EmptyTraceStartThrows) {
   const PriceTrace t;
   EXPECT_TRUE(t.empty());
-  EXPECT_THROW(t.start(), std::logic_error);
+  EXPECT_THROW((void)t.start(), std::logic_error);
 }
 
 TEST(PriceTrace, EmptyIntervalQueriesThrow) {
   const auto t = make_simple();
-  EXPECT_THROW(t.time_average(10, 10), std::invalid_argument);
-  EXPECT_THROW(t.fraction_below(0.1, 20, 10), std::invalid_argument);
+  EXPECT_THROW((void)t.time_average(10, 10), std::invalid_argument);
+  EXPECT_THROW((void)t.fraction_below(0.1, 20, 10), std::invalid_argument);
   EXPECT_THROW(t.sample(0, kHour, 0), std::invalid_argument);
 }
 
@@ -137,10 +137,10 @@ TEST(PriceTrace, EmptyIntervalQueriesThrow) {
 // must throw out_of_range consistently and up front.
 TEST(PriceTrace, IntervalQueriesPastEndThrowOutOfRange) {
   const auto t = make_simple();
-  EXPECT_THROW(t.time_average(0, kHour + 1), std::out_of_range);
-  EXPECT_THROW(t.fraction_below(0.2, 0, kHour + 1), std::out_of_range);
-  EXPECT_THROW(t.min_price(30 * kMinute, 2 * kHour), std::out_of_range);
-  EXPECT_THROW(t.max_price(30 * kMinute, 2 * kHour), std::out_of_range);
+  EXPECT_THROW((void)t.time_average(0, kHour + 1), std::out_of_range);
+  EXPECT_THROW((void)t.fraction_below(0.2, 0, kHour + 1), std::out_of_range);
+  EXPECT_THROW((void)t.min_price(30 * kMinute, 2 * kHour), std::out_of_range);
+  EXPECT_THROW((void)t.max_price(30 * kMinute, 2 * kHour), std::out_of_range);
   EXPECT_THROW(t.sample(0, kHour + 1, 10 * kMinute), std::out_of_range);
 }
 
@@ -155,18 +155,18 @@ TEST(PriceTrace, IntervalQueriesUpToEndAreAllowed) {
 
 TEST(PriceTrace, PointQueriesAtAndPastEndThrow) {
   const auto t = make_simple();
-  EXPECT_THROW(t.price_at(kHour), std::out_of_range);
-  EXPECT_THROW(t.price_at(kHour + 1), std::out_of_range);
+  EXPECT_THROW((void)t.price_at(kHour), std::out_of_range);
+  EXPECT_THROW((void)t.price_at(kHour + 1), std::out_of_range);
   EXPECT_FALSE(t.next_change_after(kHour).has_value());
   PriceCursor cursor;
-  EXPECT_THROW(t.price_at(kHour, cursor), std::out_of_range);
+  EXPECT_THROW((void)t.price_at(kHour, cursor), std::out_of_range);
 }
 
 TEST(PriceTrace, EmptyTraceQueries) {
   const PriceTrace t;
-  EXPECT_THROW(t.price_at(0), std::out_of_range);
+  EXPECT_THROW((void)t.price_at(0), std::out_of_range);
   EXPECT_FALSE(t.next_change_after(0).has_value());
-  EXPECT_THROW(t.time_average(0, 10), std::out_of_range);  // past end() == 0
+  EXPECT_THROW((void)t.time_average(0, 10), std::out_of_range);  // past end() == 0
   EXPECT_THROW(t.sample(0, 10, 5), std::out_of_range);
 }
 

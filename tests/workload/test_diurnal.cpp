@@ -57,8 +57,8 @@ TEST(Diurnal, UsersAndDirtyRateScaleWithLoad) {
 
 TEST(Diurnal, RejectsBadPattern) {
   const DiurnalPattern bad{0.8, 0.2, 12.0};
-  EXPECT_THROW(bad.load_at(0), std::invalid_argument);
-  EXPECT_THROW(kPattern.load_integral(kHour, 0), std::invalid_argument);
+  EXPECT_THROW((void)bad.load_at(0), std::invalid_argument);
+  EXPECT_THROW((void)kPattern.load_integral(kHour, 0), std::invalid_argument);
 }
 
 TEST(Diurnal, PeakOutageWeighsMoreThanTroughOutage) {

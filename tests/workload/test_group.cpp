@@ -17,7 +17,7 @@ TEST(ServiceGroup, MembersAreNamedAndSized) {
   EXPECT_EQ(g.size(), 3);
   EXPECT_EQ(g.member(0).name(), "tenant-0");
   EXPECT_EQ(g.member(2).name(), "tenant-2");
-  EXPECT_THROW(g.member(3), std::out_of_range);
+  EXPECT_THROW((void)g.member(3), std::out_of_range);
 }
 
 TEST(ServiceGroup, RejectsEmptyGroup) {

@@ -46,7 +46,7 @@ TEST(IoBench, JitterAveragesOut) {
 TEST(IoBench, MeanOfRunsRejectsZeroRuns) {
   auto b = make_bench();
   sim::RngStream rng(1);
-  EXPECT_THROW(b.mean_of_runs(IoBenchKind::kDiskRead, HostKind::kNativeVm, 0, rng),
+  EXPECT_THROW((void)b.mean_of_runs(IoBenchKind::kDiskRead, HostKind::kNativeVm, 0, rng),
                std::invalid_argument);
 }
 
