@@ -44,10 +44,10 @@ inline sched::Scenario region_scenario(const std::string& region) {
   return s;
 }
 
-/// Sweep harness under the env knobs: declare arms, then run_all(). Seeds
-/// and aggregation match `ExperimentRunner(env_runs(), env_seed())`
-/// exactly, so converting a bench from per-arm runner calls to a sweep
-/// never changes its table.
+/// Sweep harness under the env knobs: declare arms, then run_all(). Each
+/// arm runs seeds run_seed(env_seed(), i) for i < env_runs(), whichever
+/// sweep it is declared on, so regrouping a bench's arms never changes its
+/// table.
 inline metrics::SweepRunner default_sweep() {
   return metrics::SweepRunner(env_runs(), env_seed());
 }

@@ -10,6 +10,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "spothost.hpp"
@@ -60,17 +61,74 @@ int main() {
   sched::Scenario scenario;
   scenario.horizon = 30 * sim::kDay;
   scenario.regions = {"us-east-1a"};
-  const metrics::ExperimentRunner runner(5, 321);
+
+  // All four sweeps below are arms of one SweepRunner: run_all() fans every
+  // (arm x seed) cell over the worker pool at once, and arms sharing a
+  // scenario share its memoized price traces.
+  metrics::SweepRunner sweep(5, 321);
+
+  const int bid_arms = sweep.arm_count();
+  for (const double k : {1.2, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0}) {
+    auto cfg = sched::proactive_config(home);
+    cfg.bid.proactive_multiple = k;
+    sweep.add_arm(metrics::fmt(k, 1), scenario, cfg);
+  }
+
+  const int combo_arms = sweep.arm_count();
+  for (const auto combo : virt::kAllCombos) {
+    auto cfg = sched::proactive_config(home);
+    cfg.combo = combo;
+    sweep.add_arm(std::string(virt::to_string(combo)), scenario, cfg);
+  }
+
+  const int placement_arms = sweep.arm_count();
+  auto scoped = sched::proactive_config(home);
+  scoped.scope = sched::MarketScope::kMultiMarket;
+  sweep.add_arm("scoped multi-market", scenario, scoped);
+  auto pinned = sched::proactive_config(home);
+  pinned.placement = std::make_shared<PinnedMarketPolicy>(home);
+  sweep.add_arm("pinned-market (custom)", scenario, pinned);
+
+  // The shipped policy zoo plugs into the same SchedulerConfig seams the
+  // custom policy used — docs/POLICIES.md catalogues the knobs on each.
+  const int zoo_arms = sweep.arm_count();
+  sched::Scenario zoo_scenario = scenario;
+  zoo_scenario.regions = {"us-east-1a", "us-east-1b"};
+  auto base = sched::proactive_config(home);
+  base.scope = sched::MarketScope::kMultiRegion;
+  sweep.add_arm("scoped (default)", zoo_scenario, base);
+  auto portfolio = base;
+  portfolio.placement = std::make_shared<const sched::PortfolioPlacementPolicy>();
+  sweep.add_arm("portfolio", zoo_scenario, portfolio);
+  auto revocation = sched::reactive_config(home);
+  revocation.scope = sched::MarketScope::kMultiRegion;
+  revocation.placement = std::make_shared<const sched::RevocationAwarePolicy>();
+  sweep.add_arm("revocation-aware", zoo_scenario, revocation);
+  auto forecast = base;
+  forecast.bidding = std::make_shared<const sched::ForecastBidPolicy>();
+  sweep.add_arm("forecast-bid", zoo_scenario, forecast);
+
+  const auto results = sweep.run_all();
+  auto agg_of = [&](int arm) -> const metrics::AggregatedMetrics& {
+    return results[static_cast<std::size_t>(arm)];
+  };
+  auto cost_table = [&](const std::string& first_column, int first, int last) {
+    metrics::TextTable table({first_column, "cost %", "unavailability %"});
+    for (int a = first; a < last; ++a) {
+      table.add_row({sweep.arm(a).label,
+                     metrics::fmt(agg_of(a).normalized_cost_pct.mean, 1),
+                     metrics::fmt(agg_of(a).unavailability_pct.mean, 4)});
+    }
+    table.print(std::cout);
+  };
 
   std::cout << "== sweep 1: bid multiple k (proactive, CKPT LR + Live) ==\n\n";
   {
     metrics::TextTable table({"k", "cost %", "unavailability %", "forced/hr",
                               "meets 4-nines?"});
-    for (const double k : {1.2, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0}) {
-      auto cfg = sched::proactive_config(home);
-      cfg.bid.proactive_multiple = k;
-      const auto agg = runner.run(scenario, cfg);
-      table.add_row({metrics::fmt(k, 1),
+    for (int a = bid_arms; a < combo_arms; ++a) {
+      const auto& agg = agg_of(a);
+      table.add_row({sweep.arm(a).label,
                      metrics::fmt(agg.normalized_cost_pct.mean, 1),
                      metrics::fmt(agg.unavailability_pct.mean, 4),
                      metrics::fmt(agg.forced_per_hour.mean, 4),
@@ -82,13 +140,11 @@ int main() {
   std::cout << "\n== sweep 2: mechanism combo at k = 4 ==\n\n";
   {
     metrics::TextTable table({"combo", "unavailability %", "degraded s/run"});
-    for (const auto combo : virt::kAllCombos) {
-      auto cfg = sched::proactive_config(home);
-      cfg.combo = combo;
-      const auto agg = runner.run(scenario, cfg);
+    for (int a = combo_arms; a < placement_arms; ++a) {
+      const auto& agg = agg_of(a);
       double degraded = 0.0;
       for (const auto& r : agg.per_run) degraded += r.degraded_s;
-      table.add_row({std::string(virt::to_string(combo)),
+      table.add_row({sweep.arm(a).label,
                      metrics::fmt(agg.unavailability_pct.mean, 4),
                      metrics::fmt(degraded / agg.runs, 0)});
     }
@@ -98,58 +154,13 @@ int main() {
   }
 
   std::cout << "\n== sweep 3: placement policy (k = 4, CKPT LR + Live) ==\n\n";
-  {
-    metrics::TextTable table({"placement", "cost %", "unavailability %"});
-    auto run_with = [&](std::shared_ptr<const sched::PlacementPolicy> policy,
-                        sched::MarketScope scope, std::string_view label) {
-      auto cfg = sched::proactive_config(home);
-      cfg.scope = scope;
-      cfg.placement = std::move(policy);
-      const auto agg = runner.run(scenario, cfg);
-      table.add_row({std::string(label),
-                     metrics::fmt(agg.normalized_cost_pct.mean, 1),
-                     metrics::fmt(agg.unavailability_pct.mean, 4)});
-    };
-    run_with(nullptr, sched::MarketScope::kMultiMarket, "scoped multi-market");
-    run_with(std::make_shared<PinnedMarketPolicy>(home),
-             sched::MarketScope::kSingleMarket, "pinned-market (custom)");
-    table.print(std::cout);
-    std::cout << "\nthe custom policy plugs in via SchedulerConfig::placement;\n"
-                 "multi-market escapes price spikes the pinned policy must\n"
-                 "ride out on the on-demand fallback.\n";
-  }
+  cost_table("placement", placement_arms, zoo_arms);
+  std::cout << "\nthe custom policy plugs in via SchedulerConfig::placement;\n"
+               "multi-market escapes price spikes the pinned policy must\n"
+               "ride out on the on-demand fallback.\n";
 
   std::cout << "\n== sweep 4: the shipped policy zoo, two-region world ==\n\n";
-  {
-    // Same builder seams the custom policy used, stock implementations —
-    // docs/POLICIES.md catalogues the knobs on each.
-    sched::Scenario zoo_scenario = scenario;
-    zoo_scenario.regions = {"us-east-1a", "us-east-1b"};
-    metrics::TextTable table({"policy", "cost %", "unavailability %"});
-    auto run_zoo = [&](const sched::SchedulerConfig& cfg,
-                       std::string_view label) {
-      const auto agg = runner.run(zoo_scenario, cfg);
-      table.add_row({std::string(label),
-                     metrics::fmt(agg.normalized_cost_pct.mean, 1),
-                     metrics::fmt(agg.unavailability_pct.mean, 4)});
-    };
-    auto base = sched::proactive_config(home);
-    base.scope = sched::MarketScope::kMultiRegion;
-    run_zoo(base, "scoped (default)");
-    run_zoo(sched::SchedulerConfigBuilder(home)
-                .scope(sched::MarketScope::kMultiRegion)
-                .placement(std::make_shared<const sched::PortfolioPlacementPolicy>())
-                .build(),
-            "portfolio");
-    auto revocation = sched::reactive_config(home);
-    revocation.scope = sched::MarketScope::kMultiRegion;
-    revocation.placement = std::make_shared<const sched::RevocationAwarePolicy>();
-    run_zoo(revocation, "revocation-aware");
-    auto forecast = base;
-    forecast.bidding = std::make_shared<const sched::ForecastBidPolicy>();
-    run_zoo(forecast, "forecast-bid");
-    table.print(std::cout);
-  }
+  cost_table("policy", zoo_arms, sweep.arm_count());
 
   std::cout << "\npick the cheapest row that still meets your availability SLO.\n";
   return 0;

@@ -77,6 +77,19 @@ std::uint64_t seed_flag(const std::string& flag, const std::string& text) {
   return *n;
 }
 
+/// `text` as the value of --speed: a finite number > 0, or "max" for
+/// deterministic fast replay; otherwise a usage error naming the flag.
+double speed_flag(const std::string& flag, const std::string& text) {
+  if (text == "max") return live::WallClock::kMaxSpeed;
+  const auto x = exec::parse_double(text.c_str(),
+                                    std::numeric_limits<double>::denorm_min(),
+                                    std::numeric_limits<double>::max());
+  if (!x) {
+    usage(flag + " must be a finite number > 0 or 'max', got '" + text + "'");
+  }
+  return *x;
+}
+
 /// Forwards decision events to the JSONL sink, dropping the high-volume
 /// per-tick price events unless asked for — both modes filter identically,
 /// so sim and replay outputs stay diffable.
@@ -181,7 +194,7 @@ live::SessionSpec build_spec(const std::vector<std::string>& keys,
 int main(int argc, char** argv) {
   std::string feed_path;
   std::string mode = "replay";
-  std::string speed_arg = "1";
+  double speed = 1.0;
   std::string out_path = "-";
   std::string policy = "proactive";
   std::string scope = "multi-market";
@@ -199,7 +212,7 @@ int main(int argc, char** argv) {
     };
     if (arg == "--feed") feed_path = next();
     else if (arg == "--mode") mode = next();
-    else if (arg == "--speed") speed_arg = next();
+    else if (arg == "--speed") speed = speed_flag(arg, next());
     else if (arg == "--out") out_path = next();
     else if (arg == "--policy") policy = next();
     else if (arg == "--scope") scope = next();
@@ -214,12 +227,6 @@ int main(int argc, char** argv) {
   if (feed_path.empty()) usage("--feed is required");
   if (mode != "sim" && mode != "replay" && mode != "tail") {
     usage("unknown mode: " + mode);
-  }
-  double speed = 1.0;
-  if (speed_arg == "max") speed = live::WallClock::kMaxSpeed;
-  else {
-    speed = std::atof(speed_arg.c_str());
-    if (!(speed > 0)) usage("--speed must be > 0 or 'max'");
   }
 
   // --- output + tracer ---------------------------------------------------

@@ -14,6 +14,7 @@
 //     --estimate        also print the closed-form trace estimate
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "spothost.hpp"
@@ -45,6 +46,16 @@ std::uint64_t seed_flag(const std::string& flag, const std::string& text) {
   const auto n = exec::parse_u64(text.c_str());
   if (!n) usage(flag + " must be a non-negative integer, got '" + text + "'");
   return *n;
+}
+
+/// `text` as the value of positive number flag `flag`, or a usage error
+/// naming it.
+double positive_flag(const std::string& flag, const std::string& text) {
+  const auto x = exec::parse_double(text.c_str(),
+                                    std::numeric_limits<double>::denorm_min(),
+                                    std::numeric_limits<double>::max());
+  if (!x) usage(flag + " must be a finite number > 0, got '" + text + "'");
+  return *x;
 }
 
 virt::MechanismCombo parse_combo(const std::string& s) {
@@ -84,7 +95,7 @@ int main(int argc, char** argv) {
     else if (arg == "--days") days = int_flag(arg, next(), 1, 36500);
     else if (arg == "--seeds") seeds = int_flag(arg, next(), 1, 1000000);
     else if (arg == "--seed") base_seed = seed_flag(arg, next());
-    else if (arg == "--bid") bid_multiple = std::atof(next().c_str());
+    else if (arg == "--bid") bid_multiple = positive_flag(arg, next());
     else if (arg == "--pessimistic") pessimistic = true;
     else if (arg == "--estimate") estimate = true;
     else if (arg == "--help" || arg == "-h") usage();
@@ -119,8 +130,9 @@ int main(int argc, char** argv) {
   sched::Scenario scenario;
   scenario.horizon = days * sim::kDay;
 
-  const metrics::ExperimentRunner runner(seeds, base_seed);
-  const auto agg = runner.run(scenario, config);
+  metrics::SweepRunner sweep(seeds, base_seed);
+  sweep.add_arm(policy, scenario, config);
+  const auto agg = sweep.run_all().front();
 
   std::cout << policy << " " << home.str() << " (" << scope << ", "
             << virt::to_string(combo) << (pessimistic ? ", pessimistic" : "")

@@ -14,7 +14,6 @@
 //                                               # --out run.jsonl); optional
 //                                               # second arg = max seconds
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -64,7 +63,8 @@ int run_timeline(std::uint64_t seed, std::optional<obs::EventKind> only) {
   tracer.add_sink(&jsonl);
 
   obs::RunProfile profile;
-  const auto m = metrics::run_hosting_scenario(scenario, cfg, &tracer, &profile);
+  const auto m =
+      metrics::run_hosting_scenario(scenario, cfg, nullptr, &tracer, &profile);
 
   std::map<std::string_view, int> by_kind;
   int shown = 0;
@@ -164,7 +164,19 @@ int run_follow(const std::string& path, double max_seconds) {
 
 int main(int argc, char** argv) {
   if (argc > 2 && std::string(argv[1]) == "--follow") {
-    const double max_seconds = argc > 3 ? std::atof(argv[3]) : 0.0;
+    // 0 = follow until killed; the cap keeps the deadline inside
+    // steady_clock's range.
+    constexpr double kMaxFollowSeconds = 1e9;
+    double max_seconds = 0.0;
+    if (argc > 3) {
+      const auto parsed = exec::parse_double(argv[3], 0.0, kMaxFollowSeconds);
+      if (!parsed) {
+        std::cerr << "error: --follow max seconds must be a number in [0, "
+                  << kMaxFollowSeconds << "], got '" << argv[3] << "'\n";
+        return 2;
+      }
+      max_seconds = *parsed;
+    }
     return run_follow(argv[2], max_seconds);
   }
   if (argc > 1 && std::string(argv[1]) == "--timeline") {

@@ -1,6 +1,8 @@
 #include "exec/env.hpp"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -33,6 +35,16 @@ std::optional<std::uint64_t> parse_u64(const char* text) {
   const unsigned long long n = std::strtoull(text, &end, 10);
   if (end != text && *end == '\0' && errno == 0) {
     return static_cast<std::uint64_t>(n);
+  }
+  return std::nullopt;
+}
+
+std::optional<double> parse_double(const char* text, double lo, double hi) {
+  const char* const end = text + std::strlen(text);
+  double x = 0.0;
+  const auto [p, ec] = std::from_chars(text, end, x);
+  if (ec == std::errc{} && p == end && std::isfinite(x) && x >= lo && x <= hi) {
+    return x;
   }
   return std::nullopt;
 }

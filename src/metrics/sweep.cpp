@@ -50,6 +50,10 @@ std::vector<AggregatedMetrics> SweepRunner::run_all() const {
             pool.submit([&cell, this, a, i] { return cell(arms_[a], i); }));
       }
     }
+    // Every task references `cell` and this runner, so none may still be
+    // queued or running when this frame unwinds: wait for all of them
+    // before get() rethrows the first failure in cell order.
+    for (const auto& future : futures) future.wait();
     std::size_t f = 0;
     for (std::size_t a = 0; a < n_arms; ++a) {
       for (std::size_t i = 0; i < n_runs; ++i) {

@@ -1,17 +1,18 @@
-// Sweep execution engine: declare every configuration arm of a figure or
-// ablation up front, then fan all (arm x seed) cells across the shared
-// worker pool at once.
+// Sweep execution engine, the one multi-seed runner: declare every
+// configuration arm of a figure or ablation up front (a single
+// configuration is one arm), then fan all (arm x seed) cells across the
+// shared worker pool at once.
 //
-// Compared with calling ExperimentRunner once per arm, a sweep
+// Compared with running one arm after another, a sweep
 //   * keeps the machine busy across arm boundaries — the pool schedules
 //     arms*runs cells instead of draining between arms, and
 //   * memoizes market traces — each market is generated once per seed, and
 //     cells that share (scenario, seed) share one MarketTraceSet (without
 //     this, every fig08 arm would regenerate its region's four traces, and
 //     fig09's region pairs would rebuild markets fig08 already built).
-// Per-cell seeds (run_seed) and aggregation (aggregate_runs) are exactly
-// ExperimentRunner's, so every printed table is byte-identical to the
-// serial per-arm harness.
+// A cell is run_hosting_scenario under run_seed, aggregated by
+// aggregate_runs, so every printed table is byte-identical to a serial
+// loop of single runs.
 #pragma once
 
 #include <cstdint>
@@ -54,11 +55,13 @@ class SweepRunner {
 
   /// Runs every (arm x seed) cell — all at once on the shared pool under
   /// Execution::kParallel — and returns per-arm aggregates in add_arm
-  /// order. Callable repeatedly; traces stay memoized across calls.
+  /// order. Callable repeatedly; traces stay memoized across calls. If a
+  /// cell throws (an invalid config, a trace file shorter than the
+  /// horizon), every cell still runs to completion first; then the first
+  /// failure in cell order is rethrown.
   [[nodiscard]] std::vector<AggregatedMetrics> run_all() const;
 
-  /// The cache backing this sweep's market-trace memoization. Shared with
-  /// any ExperimentRunner via memoize_traces() to pool generations.
+  /// The cache backing this sweep's market-trace memoization.
   [[nodiscard]] const std::shared_ptr<sched::TraceCache>& trace_cache()
       const noexcept {
     return cache_;

@@ -1,5 +1,7 @@
 #include "sched/baselines.hpp"
 
+#include <utility>
+
 #include "cloud/billing.hpp"
 
 namespace spothost::sched {
@@ -10,25 +12,25 @@ double on_demand_only_cost(const cloud::CloudProvider& provider,
 }
 
 SchedulerConfig reactive_config(cloud::MarketId home_market) {
-  return SchedulerConfigBuilder(std::move(home_market))
-      .bid({.mode = BiddingMode::kReactive})
-      .scope(MarketScope::kSingleMarket)
-      .build();
+  SchedulerConfig config;
+  config.home_market = std::move(home_market);
+  config.bid = {.mode = BiddingMode::kReactive};
+  config.scope = MarketScope::kSingleMarket;
+  return config;
 }
 
 SchedulerConfig proactive_config(cloud::MarketId home_market) {
-  return SchedulerConfigBuilder(std::move(home_market))
-      .bid({.mode = BiddingMode::kProactive, .proactive_multiple = 4.0})
-      .scope(MarketScope::kSingleMarket)
-      .build();
+  SchedulerConfig config;
+  config.home_market = std::move(home_market);
+  config.bid = {.mode = BiddingMode::kProactive, .proactive_multiple = 4.0};
+  config.scope = MarketScope::kSingleMarket;
+  return config;
 }
 
 SchedulerConfig pure_spot_config(cloud::MarketId home_market) {
-  return SchedulerConfigBuilder(std::move(home_market))
-      .bid({.mode = BiddingMode::kReactive})  // bid = p_on
-      .scope(MarketScope::kSingleMarket)
-      .fallback(Fallback::kPureSpot)
-      .build();
+  SchedulerConfig config = reactive_config(std::move(home_market));
+  config.fallback = Fallback::kPureSpot;
+  return config;
 }
 
 }  // namespace spothost::sched

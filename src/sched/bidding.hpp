@@ -10,7 +10,7 @@
 //    voluntary migration commits still forces it.
 //
 // Dynamic strategies plug in behind the BidStrategy seam
-// (SchedulerConfig::bidding / SchedulerConfigBuilder::bidding): the
+// (SchedulerConfig::bidding): the
 // scheduler and every placement policy route bids through
 // bid_strategy_for(config), so a strategy can derive bids from committed
 // market history instead of a static multiple. ForecastBidPolicy below is

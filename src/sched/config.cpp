@@ -38,13 +38,7 @@ Scenario normalized_scenario(Scenario scenario) {
   return scenario;
 }
 
-World::World(Scenario scenario) : World(std::move(scenario), nullptr, nullptr) {}
-
 World::World(Scenario scenario, std::shared_ptr<const MarketTraceSet> traces)
-    : World(std::move(scenario), std::move(traces), nullptr) {}
-
-World::World(Scenario scenario, std::shared_ptr<const MarketTraceSet> traces,
-             std::unique_ptr<sim::Engine> engine)
     : scenario_(normalized_scenario(std::move(scenario))),
       rng_factory_(scenario_.seed) {
   if (traces == nullptr) {
@@ -55,7 +49,7 @@ World::World(Scenario scenario, std::shared_ptr<const MarketTraceSet> traces,
   }
   traces_ = std::move(traces);
 
-  engine_ = engine != nullptr ? std::move(engine) : sim::make_simulation_engine();
+  engine_ = sim::make_simulation_engine();
   // Always build and attach the injector — an empty plan makes zero draws,
   // so fault-free worlds behave identically with or without it.
   faults_ = std::make_unique<faults::FaultInjector>(*engine_, rng_factory_,
@@ -68,7 +62,7 @@ World::World(Scenario scenario, std::shared_ptr<const MarketTraceSet> traces,
     provider_->set_allocation_latency(region, table1_allocation_latency(region));
   }
   // Entries are in the provider's canonical registration order (region order
-  // x size order), so market_order_ matches the generating constructor.
+  // x size order), so market_order_ is the same for a memoized set.
   for (const auto& entry : traces_->markets()) {
     provider_->add_market(entry.id, entry.prices, entry.on_demand);
   }

@@ -41,36 +41,29 @@ struct Scenario {
 cloud::AllocationLatency table1_allocation_latency(const std::string& region);
 
 /// `scenario` with empty regions/sizes replaced by the canonical defaults,
-/// validated (horizon > 0). World and MarketTraceSet both build from this
+/// checked (horizon > 0). World and MarketTraceSet both build from this
 /// normal form, so their notions of scenario identity agree.
 [[nodiscard]] Scenario normalized_scenario(Scenario scenario);
 
 class MarketTraceSet;  // sched/market_traces.hpp
 
-/// A fully wired experiment world. Construction generates all market traces
-/// (seeded from the scenario seed) — or copies them from a pre-generated
-/// MarketTraceSet — and starts the provider's price feeds; attach a
-/// scheduler (built over clock()) and call engine().run_until(horizon()).
+/// A fully wired experiment world on a sim::Simulation. Construction
+/// generates all market traces (seeded from the scenario seed) and starts
+/// the provider's price feeds; attach a scheduler (built over clock()) and
+/// call engine().run_until(horizon()).
 ///
 /// The engine seam: policy components take clock() (sim::Clock — scheduling
 /// only), run control goes through engine() (sim::Engine — run_until /
-/// set_tracer / dispatched). The default engine is a sim::Simulation; pass
-/// one explicitly (e.g. a live::WallClock in fast-replay) to run the exact
-/// same wiring on wall time.
+/// set_tracer / dispatched). live::HostingSession runs the same wiring on
+/// a live::WallClock.
 class World {
  public:
-  explicit World(Scenario scenario);
-
-  /// Builds on a memoized trace set (sched::TraceCache) instead of
-  /// regenerating: `traces` must have been generated for an identical
-  /// scenario (same cache_key). Behaviour is byte-identical to the
-  /// generating constructor; only the trace-generation work is skipped.
-  World(Scenario scenario, std::shared_ptr<const MarketTraceSet> traces);
-
-  /// Same wiring over a caller-supplied engine (must be freshly constructed:
-  /// time 0, nothing scheduled). nullptr = the default sim::Simulation.
-  World(Scenario scenario, std::shared_ptr<const MarketTraceSet> traces,
-        std::unique_ptr<sim::Engine> engine);
+  /// A non-null `traces` is a memoized trace set (sched::TraceCache) to
+  /// build on instead of regenerating; it must have been generated for an
+  /// identical scenario (same cache_key). Behaviour is byte-identical
+  /// either way; only the trace-generation work is skipped.
+  explicit World(Scenario scenario,
+                 std::shared_ptr<const MarketTraceSet> traces = nullptr);
 
   /// The scheduling seam policy components take.
   [[nodiscard]] sim::Clock& clock() noexcept { return *engine_; }

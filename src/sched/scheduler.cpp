@@ -351,9 +351,11 @@ void CloudScheduler::on_price_change(const MarketId& market, double new_price) {
   if (above) {
     maybe_schedule_planned();
   } else {
+    // Spike cancellation: a planned move whose trigger evaporated before
+    // its transfer started is abandoned.
     cancel_scheduled_planned();
     if (engine_->voluntary_class() == virt::MigrationClass::kPlanned &&
-        !engine_->transfer_started() && config_.cancel_planned_on_price_drop) {
+        !engine_->transfer_started()) {
       engine_->abandon(AbandonReason::kPriceRecovered);
     }
   }
@@ -384,7 +386,7 @@ PriceBand CloudScheduler::price_band(const MarketId& market) const {
     // cancel and no planned move to abandon.
     const bool abandonable =
         engine_->voluntary_class() == virt::MigrationClass::kPlanned &&
-        !engine_->transfer_started() && config_.cancel_planned_on_price_drop;
+        !engine_->transfer_started();
     if (!timer_pending && !abandonable) return PriceBand{-kInf, edge};
   } else if (timer_pending || engine_->active()) {
     // Above with a move already armed: a step above emits no edge and

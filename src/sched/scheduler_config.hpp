@@ -1,14 +1,11 @@
-// Scheduler configuration: the knobs of Sec. 3, a validating factory, and a
-// fluent builder. Split out of scheduler.hpp so configuration, validation,
-// and presets (baselines.hpp) evolve independently of the scheduler's state
-// machine.
+// Scheduler configuration: the knobs of Sec. 3 and their validation. Split
+// out of scheduler.hpp so configuration, validation, and presets
+// (baselines.hpp) evolve independently of the scheduler's state machine.
 //
-// Construction paths, from loosest to strictest:
-//  * aggregate-initialize SchedulerConfig and rely on CloudScheduler to
-//    validate at attach time (it always does);
-//  * SchedulerConfig{...}.validated() — returns the config or throws
-//    std::invalid_argument with a message naming the offending field;
-//  * SchedulerConfigBuilder — fluent construction whose build() validates.
+// A config is a plain aggregate: start from a preset (baselines.hpp) or a
+// default-constructed SchedulerConfig and assign fields. CloudScheduler
+// calls validate() when it attaches, so a nonsense value is rejected with a
+// std::invalid_argument naming the field before any run starts.
 #pragma once
 
 #include <memory>
@@ -80,9 +77,6 @@ struct SchedulerConfig {
   std::vector<std::string> allowed_regions{};
   /// kPureSpot => Fig. 11 baseline: no on-demand fallback at all.
   Fallback fallback = Fallback::kOnDemand;
-  /// Proactive spike cancellation: abandon a planned migration whose price
-  /// trigger evaporated before the transfer started.
-  bool cancel_planned_on_price_drop = true;
   PlannedTiming planned_timing = PlannedTiming::kHourEnd;
   /// A spot market must be below margin * p_on to justify a reverse (or
   /// cross-market planned) move — hysteresis against flapping.
@@ -127,45 +121,6 @@ struct SchedulerConfig {
   /// negative reverse_price_margin, jitter CV < 0, empty home-market region,
   /// capacity_units_override < 0, non-positive bid multiple, ...
   void validate() const;
-
-  /// Validating factory: returns *this if valid, else throws as validate().
-  [[nodiscard]] SchedulerConfig validated() const;
-};
-
-/// Fluent construction; build() validates. Example:
-///   auto cfg = SchedulerConfigBuilder({"us-east-1a", InstanceSize::kSmall})
-///                  .bid(BidPolicy{.mode = BiddingMode::kProactive})
-///                  .scope(MarketScope::kMultiMarket)
-///                  .build();
-class SchedulerConfigBuilder {
- public:
-  explicit SchedulerConfigBuilder(cloud::MarketId home_market);
-
-  SchedulerConfigBuilder& bid(BidPolicy policy);
-  SchedulerConfigBuilder& combo(virt::MechanismCombo combo);
-  SchedulerConfigBuilder& mechanism_params(virt::MechanismParams params);
-  SchedulerConfigBuilder& scope(MarketScope scope);
-  SchedulerConfigBuilder& allowed_regions(std::vector<std::string> regions);
-  SchedulerConfigBuilder& fallback(Fallback fallback);
-  SchedulerConfigBuilder& cancel_planned_on_price_drop(bool cancel);
-  SchedulerConfigBuilder& planned_timing(PlannedTiming timing);
-  SchedulerConfigBuilder& reverse_price_margin(double margin);
-  SchedulerConfigBuilder& timing_jitter_cv(double cv);
-  SchedulerConfigBuilder& vm_spec(virt::VmSpec spec);
-  SchedulerConfigBuilder& stability(StabilityPolicy policy);
-  SchedulerConfigBuilder& stability_penalty_weight(double weight);
-  SchedulerConfigBuilder& stability_window(sim::SimTime window);
-  SchedulerConfigBuilder& capacity_units_override(int units);
-  SchedulerConfigBuilder& placement(std::shared_ptr<const PlacementPolicy> policy);
-  SchedulerConfigBuilder& bidding(std::shared_ptr<const BidStrategy> strategy);
-  SchedulerConfigBuilder& placement_salt(int salt);
-  SchedulerConfigBuilder& retry(RetryPolicy policy);
-
-  /// Validates and returns the finished config (throws on nonsense).
-  [[nodiscard]] SchedulerConfig build() const;
-
- private:
-  SchedulerConfig cfg_;
 };
 
 /// End-of-run aggregates. Derived from the scheduler's trace-event counters

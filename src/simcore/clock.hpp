@@ -19,7 +19,7 @@
 // id with the clock that issued it. Handles make the common lifecycle
 // explicit: `if (h) h.cancel();` replaces the scattered
 // `if (id != kInvalidEventId) sim.cancel(id);` dance, and a cancelled or
-// fired handle can be cancelled again harmlessly (generation-validated ids
+// fired handle can be cancelled again harmlessly (generation-checked ids
 // make stale cancels a no-op returning false).
 #pragma once
 

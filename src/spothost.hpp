@@ -9,8 +9,8 @@
 //   sched::Scenario / sched::World      — build a simulated cloud
 //   sched::SchedulerConfig / presets    — configure the scheduler
 //   metrics::run_hosting_scenario       — one full hosting run
-//   metrics::ExperimentRunner           — multi-seed aggregation
-//   metrics::SweepRunner                — multi-arm sweeps, memoized traces
+//   metrics::SweepRunner                — multi-seed, multi-arm runs,
+//                                         memoized traces
 //   live::WallClock + HostingSession    — the same policy layer on wall time
 //   live::PriceFeed / FeedDriver        — streamed price updates (serve mode)
 //   exec::ThreadPool                    — the shared bounded worker pool

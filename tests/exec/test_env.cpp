@@ -100,5 +100,29 @@ TEST(ParseU64, RejectsNegativesJunkAndOverflow) {
   EXPECT_EQ(parse_u64("18446744073709551616"), std::nullopt);
 }
 
+// The parse the CLIs' number flags (--bid, --speed, --follow) use.
+TEST(ParseDouble, AcceptsWholeFiniteInRangeNumbers) {
+  EXPECT_EQ(parse_double("4", 0.0, 10.0), 4.0);
+  EXPECT_EQ(parse_double("0.5", 0.0, 10.0), 0.5);
+  EXPECT_EQ(parse_double("1e1", 0.0, 10.0), 10.0);
+  EXPECT_EQ(parse_double("0", 0.0, 10.0), 0.0);  // bounds are inclusive
+  EXPECT_EQ(parse_double("-2.5", -10.0, 10.0), -2.5);
+}
+
+TEST(ParseDouble, RejectsJunkNonFiniteAndOutOfRange) {
+  EXPECT_EQ(parse_double("4x", 0.0, 10.0), std::nullopt);  // atof would say 4
+  EXPECT_EQ(parse_double("2abc", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_double("abc", 0.0, 10.0), std::nullopt);  // atof would say 0
+  EXPECT_EQ(parse_double("", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_double(" 4", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_double("+4", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_double("0x4", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_double("inf", 0.0, 1e308), std::nullopt);
+  EXPECT_EQ(parse_double("nan", -1e308, 1e308), std::nullopt);
+  EXPECT_EQ(parse_double("1e400", 0.0, 1e308), std::nullopt);
+  EXPECT_EQ(parse_double("10.5", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_double("-1", 0.0, 10.0), std::nullopt);
+}
+
 }  // namespace
 }  // namespace spothost::exec

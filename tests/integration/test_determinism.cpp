@@ -66,7 +66,7 @@ std::string traced_run_jsonl(std::uint64_t seed) {
   tracer.add_sink(&sink);
   auto cfg = sched::proactive_config({"us-east-1a", InstanceSize::kSmall});
   cfg.scope = sched::MarketScope::kMultiMarket;
-  (void)metrics::run_hosting_scenario(scenario(seed), cfg, &tracer, nullptr);
+  (void)metrics::run_hosting_scenario(scenario(seed), cfg, nullptr, &tracer);
   return os.str();
 }
 

@@ -4,7 +4,7 @@
 
 #include <map>
 
-#include "metrics/experiment.hpp"
+#include "metrics/sweep.hpp"
 #include "sched/baselines.hpp"
 
 namespace spothost {
@@ -12,7 +12,6 @@ namespace {
 
 using cloud::InstanceSize;
 using cloud::MarketId;
-using metrics::ExperimentRunner;
 using sim::kDay;
 
 const MarketId kHome{"us-east-1a", InstanceSize::kSmall};
@@ -27,38 +26,44 @@ sched::Scenario month() {
 
 class EndToEnd : public ::testing::Test {
  protected:
-  const ExperimentRunner runner_{5, 31337};
+  /// `config` over five seeds, as the one arm of a sweep.
+  static metrics::AggregatedMetrics run(const sched::Scenario& scenario,
+                                        const sched::SchedulerConfig& config) {
+    metrics::SweepRunner sweep(5, 31337);
+    sweep.add_arm("arm", scenario, config);
+    return sweep.run_all().front();
+  }
 };
 
 TEST_F(EndToEnd, HeadlineCostReduction) {
   // "one-third to one-fifth the cost" — allow a generous band around it.
-  const auto agg = runner_.run(month(), sched::proactive_config(kHome));
+  const auto agg = run(month(), sched::proactive_config(kHome));
   EXPECT_GT(agg.normalized_cost_pct.mean, 10.0);
   EXPECT_LT(agg.normalized_cost_pct.mean, 45.0);
 }
 
 TEST_F(EndToEnd, HeadlineAvailability) {
   // Proactive + CKPT LR + Live keeps unavailability near the four-nines bar.
-  const auto agg = runner_.run(month(), sched::proactive_config(kHome));
+  const auto agg = run(month(), sched::proactive_config(kHome));
   EXPECT_LT(agg.unavailability_pct.mean, 0.02);
 }
 
 TEST_F(EndToEnd, ProactiveBeatsReactiveOnUnavailability) {
-  const auto pro = runner_.run(month(), sched::proactive_config(kHome));
-  const auto rea = runner_.run(month(), sched::reactive_config(kHome));
+  const auto pro = run(month(), sched::proactive_config(kHome));
+  const auto rea = run(month(), sched::reactive_config(kHome));
   EXPECT_LT(pro.unavailability_pct.mean, rea.unavailability_pct.mean);
   EXPECT_LT(pro.forced_per_hour.mean, rea.forced_per_hour.mean);
 }
 
 TEST_F(EndToEnd, ProactiveCostNoWorseThanReactive) {
-  const auto pro = runner_.run(month(), sched::proactive_config(kHome));
-  const auto rea = runner_.run(month(), sched::reactive_config(kHome));
+  const auto pro = run(month(), sched::proactive_config(kHome));
+  const auto rea = run(month(), sched::reactive_config(kHome));
   EXPECT_LT(pro.normalized_cost_pct.mean, rea.normalized_cost_pct.mean * 1.1);
 }
 
 TEST_F(EndToEnd, PureSpotUnavailabilityIsUnacceptable) {
-  const auto spot = runner_.run(month(), sched::pure_spot_config(kHome));
-  const auto pro = runner_.run(month(), sched::proactive_config(kHome));
+  const auto spot = run(month(), sched::pure_spot_config(kHome));
+  const auto pro = run(month(), sched::proactive_config(kHome));
   EXPECT_GT(spot.unavailability_pct.mean, 10.0 * pro.unavailability_pct.mean);
   EXPECT_GT(spot.unavailability_pct.mean, 0.1);
 }
@@ -69,7 +74,7 @@ TEST_F(EndToEnd, MechanismLadderFig7) {
   for (const auto combo : virt::kAllCombos) {
     auto cfg = sched::proactive_config(kHome);
     cfg.combo = combo;
-    unavail[combo] = runner_.run(month(), cfg).unavailability_pct.mean;
+    unavail[combo] = run(month(), cfg).unavailability_pct.mean;
   }
   using MC = virt::MechanismCombo;
   EXPECT_GT(unavail[MC::kCkpt], unavail[MC::kCkptLazy]);
@@ -80,9 +85,9 @@ TEST_F(EndToEnd, MechanismLadderFig7) {
 
 TEST_F(EndToEnd, PessimisticParametersHurt) {
   auto cfg = sched::proactive_config(kHome);
-  const auto typical = runner_.run(month(), cfg).unavailability_pct.mean;
+  const auto typical = run(month(), cfg).unavailability_pct.mean;
   cfg.mech = virt::pessimistic_mechanism_params();
-  const auto pessimistic = runner_.run(month(), cfg).unavailability_pct.mean;
+  const auto pessimistic = run(month(), cfg).unavailability_pct.mean;
   EXPECT_GT(pessimistic, typical);
 }
 
@@ -97,18 +102,18 @@ TEST_F(EndToEnd, MultiMarketLowersCost) {
   double single_sum = 0.0;
   for (const auto size : cloud::kAllSizes) {
     auto cfg = sched::proactive_config({"us-east-1a", size});
-    single_sum += runner_.run(s, cfg).normalized_cost_pct.mean;
+    single_sum += run(s, cfg).normalized_cost_pct.mean;
   }
   const double single_avg = single_sum / 4.0;
 
   auto multi_cfg = sched::proactive_config(kHome);
   multi_cfg.scope = sched::MarketScope::kMultiMarket;
-  const auto multi = runner_.run(s, multi_cfg);
+  const auto multi = run(s, multi_cfg);
   EXPECT_LT(multi.normalized_cost_pct.mean, single_avg);
 }
 
 TEST_F(EndToEnd, BudgetsAreInternallyConsistent) {
-  const auto agg = runner_.run(month(), sched::proactive_config(kHome));
+  const auto agg = run(month(), sched::proactive_config(kHome));
   for (const auto& run : agg.per_run) {
     EXPECT_GE(run.total_cost, run.attributed_cost - 1e-9);
     EXPECT_GE(run.downtime_s, 0.0);

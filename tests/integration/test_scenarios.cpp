@@ -1,7 +1,7 @@
 // Multi-market / multi-region scenario integration tests (Figs. 8 and 9).
 #include <gtest/gtest.h>
 
-#include "metrics/experiment.hpp"
+#include "metrics/sweep.hpp"
 #include "sched/baselines.hpp"
 
 namespace spothost {
@@ -9,7 +9,6 @@ namespace {
 
 using cloud::InstanceSize;
 using cloud::MarketId;
-using metrics::ExperimentRunner;
 using sim::kDay;
 
 sched::Scenario two_region_scenario() {
@@ -21,14 +20,20 @@ sched::Scenario two_region_scenario() {
 
 class Scenarios : public ::testing::Test {
  protected:
-  const ExperimentRunner runner_{4, 2024};
+  /// `config` over four seeds, as the one arm of a sweep.
+  static metrics::AggregatedMetrics run(const sched::Scenario& scenario,
+                                        const sched::SchedulerConfig& config) {
+    metrics::SweepRunner sweep(4, 2024);
+    sweep.add_arm("arm", scenario, config);
+    return sweep.run_all().front();
+  }
 };
 
 TEST_F(Scenarios, MultiRegionRunsAndSavesMoney) {
   auto cfg = sched::proactive_config({"us-east-1a", InstanceSize::kSmall});
   cfg.scope = sched::MarketScope::kMultiRegion;
   cfg.allowed_regions = {"us-east-1a", "eu-west-1a"};
-  const auto multi = runner_.run(two_region_scenario(), cfg);
+  const auto multi = run(two_region_scenario(), cfg);
   EXPECT_GT(multi.normalized_cost_pct.mean, 3.0);
   EXPECT_LT(multi.normalized_cost_pct.mean, 40.0);
 
@@ -37,7 +42,7 @@ TEST_F(Scenarios, MultiRegionRunsAndSavesMoney) {
   for (const std::string region : {"us-east-1a", "eu-west-1a"}) {
     auto scfg = sched::proactive_config({region, InstanceSize::kSmall});
     scfg.scope = sched::MarketScope::kMultiMarket;
-    single_sum += runner_.run(two_region_scenario(), scfg).normalized_cost_pct.mean;
+    single_sum += run(two_region_scenario(), scfg).normalized_cost_pct.mean;
   }
   EXPECT_LT(multi.normalized_cost_pct.mean, single_sum / 2.0 * 1.05);
 }
@@ -49,8 +54,8 @@ TEST_F(Scenarios, MultiMarketReducesUnavailabilityVsSingle) {
   auto single = sched::proactive_config({"us-east-1a", InstanceSize::kSmall});
   auto multi = single;
   multi.scope = sched::MarketScope::kMultiMarket;
-  const auto a = runner_.run(s, single);
-  const auto b = runner_.run(s, multi);
+  const auto a = run(s, single);
+  const auto b = run(s, multi);
   // Fig. 8(c): more escape routes => no worse availability (allow noise).
   EXPECT_LT(b.unavailability_pct.mean, a.unavailability_pct.mean * 1.5);
 }
@@ -63,8 +68,8 @@ TEST_F(Scenarios, StabilityAwareSelectionDoesNotExplodeCost) {
   auto stable = greedy;
   stable.stability = sched::StabilityPolicy::kPenalizeVolatility;
   stable.stability_penalty_weight = 2.0;
-  const auto g = runner_.run(two_region_scenario(), greedy);
-  const auto st = runner_.run(two_region_scenario(), stable);
+  const auto g = run(two_region_scenario(), greedy);
+  const auto st = run(two_region_scenario(), stable);
   EXPECT_LT(st.normalized_cost_pct.mean, g.normalized_cost_pct.mean * 2.0);
   EXPECT_LT(st.unavailability_pct.mean, 0.05);
 }
@@ -75,7 +80,7 @@ TEST_F(Scenarios, EveryScopeKeepsServiceNearlyAlwaysUp) {
         sched::MarketScope::kMultiRegion}) {
     auto cfg = sched::proactive_config({"us-east-1a", InstanceSize::kSmall});
     cfg.scope = scope;
-    const auto agg = runner_.run(two_region_scenario(), cfg);
+    const auto agg = run(two_region_scenario(), cfg);
     EXPECT_LT(agg.unavailability_pct.mean, 0.05) << to_string(scope);
   }
 }
@@ -85,7 +90,7 @@ TEST_F(Scenarios, XlargeServiceAlsoHosts) {
   sched::Scenario s;
   s.horizon = 20 * kDay;
   s.regions = {"us-east-1a"};
-  const auto agg = runner_.run(
+  const auto agg = run(
       s, sched::proactive_config({"us-east-1a", InstanceSize::kXLarge}));
   EXPECT_LT(agg.unavailability_pct.mean, 0.1);
   EXPECT_LT(agg.normalized_cost_pct.mean, 50.0);

@@ -82,7 +82,7 @@ TEST(TraceGolden, ProactiveMultiMarketRunIsByteIdentical) {
   obs::Tracer tracer;
   obs::JsonlSink sink(os);
   tracer.add_sink(&sink);
-  (void)metrics::run_hosting_scenario(golden_scenario(), cfg, &tracer, nullptr);
+  (void)metrics::run_hosting_scenario(golden_scenario(), cfg, nullptr, &tracer);
   expect_trace(os.str(), kGoldenHash, kGoldenBytes, kGoldenLines);
 }
 

@@ -45,7 +45,7 @@ std::string sim_trace(const sched::Scenario& scenario,
   obs::JsonlSink sink(os);
   tracer.add_sink(&sink);
   (void)metrics::run_hosting_scenario(scenario, config, std::move(traces),
-                                      &tracer, nullptr);
+                                      &tracer);
   return os.str();
 }
 
@@ -136,8 +136,7 @@ TEST(ServeParity, LiveBillingMatchesSimulation) {
   const auto scenario = sched::normalized_scenario(parity_scenario(3));
   auto cfg = sched::proactive_config({"us-east-1a", InstanceSize::kSmall});
   const auto traces = sched::MarketTraceSet::generate(scenario);
-  const auto sim_metrics = metrics::run_hosting_scenario(scenario, cfg, traces,
-                                                         nullptr, nullptr);
+  const auto sim_metrics = metrics::run_hosting_scenario(scenario, cfg, traces);
 
   EXPECT_DOUBLE_EQ(live_run(scenario, cfg, *traces).total_cost,
                    sim_metrics.total_cost);

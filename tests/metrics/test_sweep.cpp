@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <future>
+#include <latch>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "exec/thread_pool.hpp"
 
 namespace spothost::metrics {
 namespace {
@@ -71,18 +78,77 @@ TEST(SweepRunner, ParallelMatchesSerialBitIdentically) {
   }
 }
 
-TEST(SweepRunner, MatchesPerArmExperimentRunner) {
+TEST(SweepRunner, RunsProduceAggregates) {
+  SweepRunner sweep(3, 500);
+  sweep.add_arm("proactive", small_scenario(), sched::proactive_config(home()));
+  const auto agg = sweep.run_all().front();
+  EXPECT_EQ(agg.runs, 3);
+  EXPECT_EQ(agg.per_run.size(), 3u);
+  EXPECT_GT(agg.normalized_cost_pct.mean, 5.0);
+  EXPECT_LT(agg.normalized_cost_pct.mean, 70.0);
+  EXPECT_GE(agg.unavailability_pct.mean, 0.0);
+}
+
+TEST(SweepRunner, MatchesSerialOracle) {
+  // The oracle: one run_hosting_scenario per seed, generating its traces
+  // inline, aggregated in seed order.
+  auto oracle = [](const sched::Scenario& scenario,
+                   const sched::SchedulerConfig& config) {
+    std::vector<RunMetrics> runs;
+    for (int i = 0; i < 3; ++i) {
+      sched::Scenario s = scenario;
+      s.seed = run_seed(500, i);
+      runs.push_back(run_hosting_scenario(s, config));
+    }
+    return aggregate_runs(std::move(runs));
+  };
   const auto scenario = small_scenario();
   SweepRunner sweep(3, 500);
   const int pro = sweep.add_arm("pro", scenario, sched::proactive_config(home()));
   const int rea = sweep.add_arm("rea", scenario, sched::reactive_config(home()));
   const auto results = sweep.run_all();
 
-  const ExperimentRunner runner(3, 500);
   expect_identical(results[static_cast<std::size_t>(pro)],
-                   runner.run(scenario, sched::proactive_config(home())));
+                   oracle(scenario, sched::proactive_config(home())));
   expect_identical(results[static_cast<std::size_t>(rea)],
-                   runner.run(scenario, sched::reactive_config(home())));
+                   oracle(scenario, sched::reactive_config(home())));
+}
+
+TEST(SweepRunner, ThrowingCellWaitsForEveryQueuedCell) {
+  // 7 arms x 8 seeds whose first and last arms fail at CloudScheduler's
+  // validate(). run_all() must not unwind while later cells are queued on
+  // the shared pool: they reference the runner destroyed below.
+  {
+    SweepRunner sweep(8, 500);
+    auto zero_bid = sched::proactive_config(home());
+    zero_bid.bid.proactive_multiple = 0.0;
+    sweep.add_arm("zero bid", small_scenario(), zero_bid);
+    for (int a = 0; a < 5; ++a) {
+      sweep.add_arm("valid", small_scenario(), sched::proactive_config(home()));
+    }
+    auto bad_margin = sched::proactive_config(home());
+    bad_margin.reverse_price_margin = -1.0;
+    sweep.add_arm("bad margin", small_scenario(), bad_margin);
+    try {
+      (void)sweep.run_all();
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      // The first failure in cell order, whichever cell threw first.
+      EXPECT_NE(std::string(e.what()).find("proactive_multiple"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Wait until the pool is idle: one blocking task per worker can only all
+  // start once every cell queued before them has finished. Under ASan a
+  // cell still queued when run_all() returned reads the freed runner.
+  auto& pool = exec::ThreadPool::shared();
+  std::latch idle(static_cast<std::ptrdiff_t>(pool.thread_count()));
+  std::vector<std::future<void>> parked;
+  for (std::size_t w = 0; w < pool.thread_count(); ++w) {
+    parked.push_back(pool.submit([&idle] { idle.arrive_and_wait(); }));
+  }
+  for (auto& p : parked) p.get();
 }
 
 TEST(SweepRunner, SharesTraceGenerationAcrossArms) {

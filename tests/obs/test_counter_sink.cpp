@@ -78,7 +78,7 @@ TEST(CounterSink, ExternalSinkMatchesSchedulerStatsOnSeededRun) {
     Tracer tracer;
     CounterSink external;
     tracer.add_sink(&external);
-    const auto m = metrics::run_hosting_scenario(scenario, cfg, &tracer, nullptr);
+    const auto m = metrics::run_hosting_scenario(scenario, cfg, nullptr, &tracer);
 
     const auto stats = sched::scheduler_stats_from(external);
     EXPECT_EQ(stats.forced, m.forced) << "seed " << seed;

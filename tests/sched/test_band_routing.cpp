@@ -241,7 +241,7 @@ TEST(BandRouting, GoldenScenarioMatchesOracle) {
   obs::Tracer tracer;
   obs::JsonlSink sink(production);
   tracer.add_sink(&sink);
-  (void)metrics::run_hosting_scenario(golden_scenario(), cfg, &tracer, nullptr);
+  (void)metrics::run_hosting_scenario(golden_scenario(), cfg, nullptr, &tracer);
 
   const std::string oracle = standalone_trace(golden_scenario(), cfg, /*oracle=*/true);
   ASSERT_FALSE(oracle.empty());

@@ -145,13 +145,6 @@ TEST_F(PlacementTest, ConfiguredPolicyWinsOverDefault) {
   EXPECT_EQ(placement_policy_for(cfg).get(), custom.get());
 }
 
-TEST_F(PlacementTest, BuilderCarriesPlacementPolicy) {
-  const auto custom = std::make_shared<const CheapestRegionPolicy>();
-  const SchedulerConfig cfg =
-      SchedulerConfigBuilder(kHome).placement(custom).build();
-  EXPECT_EQ(cfg.placement.get(), custom.get());
-}
-
 TEST_F(PlacementTest, ScopedChoosesCheapestEffectiveMarket) {
   build({{0, 0.03}}, {{kAway, {{0, 0.01}}}});
   SchedulerConfig cfg = proactive_config(kHome);

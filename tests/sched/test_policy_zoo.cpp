@@ -140,14 +140,11 @@ TEST(BidStrategySeam, DefaultIsSharedStatic) {
   EXPECT_EQ(strategy.get(), bid_strategy_for(cfg).get());
 }
 
-TEST(BidStrategySeam, ConfiguredStrategyWinsAndBuilderCarriesIt) {
+TEST(BidStrategySeam, ConfiguredStrategyWins) {
   const auto forecast = std::make_shared<const ForecastBidPolicy>();
-  const SchedulerConfig cfg = SchedulerConfigBuilder(kHome)
-                                  .bidding(forecast)
-                                  .placement_salt(7)
-                                  .build();
+  SchedulerConfig cfg = proactive_config(kHome);
+  cfg.bidding = forecast;
   EXPECT_EQ(bid_strategy_for(cfg).get(), forecast.get());
-  EXPECT_EQ(cfg.placement_salt, 7);
 }
 
 TEST_F(PolicyZooTest, StaticStrategyMatchesBidPolicy) {
@@ -331,7 +328,7 @@ std::string run_jsonl(const Scenario& scenario, const SchedulerConfig& cfg) {
   obs::Tracer tracer;
   obs::JsonlSink sink(os);
   tracer.add_sink(&sink);
-  (void)metrics::run_hosting_scenario(scenario, cfg, &tracer, nullptr);
+  (void)metrics::run_hosting_scenario(scenario, cfg, nullptr, &tracer);
   return os.str();
 }
 

@@ -10,12 +10,9 @@ namespace {
 using cloud::InstanceSize;
 using cloud::MarketId;
 
-const MarketId kHome{"us-east-1a", InstanceSize::kSmall};
-
 TEST(SchedulerConfigValidate, DefaultsAreValid) {
   SchedulerConfig cfg;
   EXPECT_NO_THROW(cfg.validate());
-  EXPECT_NO_THROW((void)cfg.validated());
 }
 
 TEST(SchedulerConfigValidate, RejectsEmptyHomeRegion) {
@@ -61,50 +58,6 @@ TEST(SchedulerConfigValidate, RejectsBadStabilityKnobs) {
   cfg.stability_penalty_weight = 1.0;
   cfg.stability_window = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-}
-
-TEST(SchedulerConfigValidate, ValidatedReturnsACopy) {
-  SchedulerConfig cfg;
-  cfg.reverse_price_margin = 0.8;
-  const auto v = cfg.validated();
-  EXPECT_DOUBLE_EQ(v.reverse_price_margin, 0.8);
-}
-
-TEST(SchedulerConfigBuilder, BuildsFluently) {
-  const auto cfg =
-      SchedulerConfigBuilder(kHome)
-          .bid({.mode = BiddingMode::kProactive, .proactive_multiple = 4.0})
-          .scope(MarketScope::kMultiRegion)
-          .allowed_regions({"us-east-1a", "eu-west-1a"})
-          .fallback(Fallback::kPureSpot)
-          .planned_timing(PlannedTiming::kImmediate)
-          .cancel_planned_on_price_drop(false)
-          .reverse_price_margin(0.85)
-          .timing_jitter_cv(0.1)
-          .stability(StabilityPolicy::kPenalizeVolatility)
-          .stability_penalty_weight(2.0)
-          .stability_window(2 * sim::kDay)
-          .capacity_units_override(4)
-          .build();
-  EXPECT_EQ(cfg.home_market, kHome);
-  EXPECT_EQ(cfg.scope, MarketScope::kMultiRegion);
-  EXPECT_EQ(cfg.fallback, Fallback::kPureSpot);
-  EXPECT_FALSE(cfg.on_demand_allowed());
-  EXPECT_EQ(cfg.planned_timing, PlannedTiming::kImmediate);
-  EXPECT_FALSE(cfg.cancel_planned_on_price_drop);
-  EXPECT_DOUBLE_EQ(cfg.reverse_price_margin, 0.85);
-  EXPECT_DOUBLE_EQ(cfg.timing_jitter_cv, 0.1);
-  EXPECT_EQ(cfg.stability, StabilityPolicy::kPenalizeVolatility);
-  EXPECT_EQ(cfg.capacity_units_override, 4);
-  EXPECT_EQ(cfg.allowed_regions.size(), 2u);
-}
-
-TEST(SchedulerConfigBuilder, BuildValidates) {
-  EXPECT_THROW(SchedulerConfigBuilder(kHome).reverse_price_margin(-1.0).build(),
-               std::invalid_argument);
-  EXPECT_THROW(
-      SchedulerConfigBuilder(MarketId{"", InstanceSize::kSmall}).build(),
-      std::invalid_argument);
 }
 
 TEST(SchedulerConfigEnums, Names) {
