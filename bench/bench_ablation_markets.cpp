@@ -21,7 +21,8 @@ metrics::RunMetrics run_on_trace(trace::PriceTrace price_trace,
   provider.add_market(cfg.home_market, std::move(price_trace), 0.06);
   provider.start();
   workload::AlwaysOnService service("svc", virt::VmSpec{});
-  sched::CloudScheduler scheduler(simulation, provider, service, cfg,
+  sched::MarketWatcher watcher(provider);
+  sched::CloudScheduler scheduler(simulation, provider, watcher, service, cfg,
                                   rng.stream("timing"));
   scheduler.start();
   simulation.run_until(horizon);

@@ -3,9 +3,9 @@
 //
 // The workload is the fleet pattern distilled: every service keeps a
 // periodic hour-tick chain alive (schedule-next-inside-the-callback, the
-// MarketWatcher::schedule_hour_tick shape), and every tick schedules a poll
-// event of which half are cancelled before firing (the planned-migration
-// cancel churn in CloudScheduler). Services are staggered across a few
+// shape of CloudScheduler's reverse-migration hour checks), and every tick
+// schedules a poll event of which half are cancelled before firing (the
+// planned-migration cancel churn in CloudScheduler). Services are staggered across a few
 // hundred launch cohorts but share the billing period, so events arrive in
 // synchronized same-millisecond bursts — the shape real fleets produce
 // (billing hours align to launch waves, planned migrations to market price

@@ -76,7 +76,8 @@ int main() {
   {
     sched::World world(scenario);
     workload::AlwaysOnService svc("shop", virt::default_spec_for_memory(3.75, 8.0));
-    sched::CloudScheduler scheduler(world.clock(), world.provider(), svc,
+    sched::MarketWatcher watcher(world.provider());
+    sched::CloudScheduler scheduler(world.clock(), world.provider(), watcher, svc,
                                     sched::proactive_config(home),
                                     world.stream("xp"));
     scheduler.start();

@@ -72,8 +72,9 @@ int main() {
   packed_cfg.scope = sched::MarketScope::kMultiMarket;
   packed_cfg.capacity_units_override = tenants.size();
   packed_cfg.vm_spec = tenants.aggregate_spec();
+  sched::MarketWatcher packed_watcher(packed_world.provider());
   sched::CloudScheduler packed(packed_world.clock(), packed_world.provider(),
-                               tenants, packed_cfg,
+                               packed_watcher, tenants, packed_cfg,
                                packed_world.stream("packed"));
   packed.start();
   packed_world.engine().run_until(packed_world.horizon());

@@ -33,7 +33,8 @@ int main() {
     if (level == sim::LogLevel::kInfo) timeline.push_back(msg);
   });
 
-  sched::CloudScheduler scheduler(world.clock(), world.provider(), service,
+  sched::MarketWatcher watcher(world.provider());
+  sched::CloudScheduler scheduler(world.clock(), world.provider(), watcher, service,
                                   config, world.stream("timing"));
   scheduler.start();
   world.engine().run_until(world.horizon());

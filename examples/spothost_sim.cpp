@@ -12,6 +12,7 @@
 //     --bid K           proactive bid multiple    (default 4)
 //     --pessimistic     use the pessimistic mechanism parameters
 //     --estimate        also print the closed-form trace estimate
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -129,6 +130,13 @@ int main(int argc, char** argv) {
 
   sched::Scenario scenario;
   scenario.horizon = days * sim::kDay;
+  // The home market must exist in the world every run builds.
+  const auto regions = sched::normalized_scenario(scenario).regions;
+  if (std::find(regions.begin(), regions.end(), region) == regions.end()) {
+    std::string known;
+    for (const auto& r : regions) known += (known.empty() ? "" : ", ") + r;
+    usage("--region must be one of " + known + ", got '" + region + "'");
+  }
 
   metrics::SweepRunner sweep(seeds, base_seed);
   sweep.add_arm(policy, scenario, config);

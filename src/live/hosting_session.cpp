@@ -47,8 +47,9 @@ void HostingSession::start() {
   if (scheduler_ != nullptr) {
     throw std::logic_error("HostingSession::start called twice");
   }
+  watcher_ = std::make_unique<sched::MarketWatcher>(*provider_);
   scheduler_ = std::make_unique<sched::CloudScheduler>(
-      engine_, *provider_, *service_, config_,
+      engine_, *provider_, *watcher_, *service_, config_,
       rng_factory_.stream("scheduler-timing"));
   scheduler_->start();
 }

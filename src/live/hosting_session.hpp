@@ -85,6 +85,8 @@ class HostingSession {
   std::unique_ptr<faults::FaultInjector> faults_;
   std::unique_ptr<cloud::CloudProvider> provider_;
   std::unique_ptr<workload::AlwaysOnService> service_;
+  /// Built with the scheduler in start(); declared first so it outlives it.
+  std::unique_ptr<sched::MarketWatcher> watcher_;
   std::unique_ptr<sched::CloudScheduler> scheduler_;
 };
 

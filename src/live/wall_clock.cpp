@@ -36,6 +36,14 @@ sim::SimTime WallClock::wall_virtual_now() const {
   return static_cast<sim::SimTime>(virtual_ms);
 }
 
+std::chrono::nanoseconds WallClock::wall_wait(sim::SimTime virtual_ms) const {
+  constexpr double kCapMs =
+      std::chrono::duration<double, std::milli>(kMaxWallWait).count();
+  const double wall_ms = std::min(static_cast<double>(virtual_ms) / speed_, kCapMs);
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::duration<double, std::milli>(wall_ms));
+}
+
 std::size_t WallClock::poll() {
   const std::uint64_t before = sim_.dispatched();
   sim_.run_until(std::max(now(), wall_virtual_now()));
@@ -48,9 +56,7 @@ std::optional<std::chrono::nanoseconds> WallClock::wall_until_next() const {
   if (replay_) return std::chrono::nanoseconds{0};
   const sim::SimTime vnow = wall_virtual_now();
   if (*next <= vnow) return std::chrono::nanoseconds{0};
-  const double wall_ms = static_cast<double>(*next - vnow) / speed_;
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::duration<double, std::milli>(wall_ms));
+  return wall_wait(*next - vnow);
 }
 
 void WallClock::run_until(sim::SimTime horizon) {
@@ -69,11 +75,7 @@ void WallClock::run_until(sim::SimTime horizon) {
     if (!next && horizon == kForever) return;
     const sim::SimTime next_due = next ? std::min(horizon, *next) : horizon;
     const sim::SimTime vnow = wall_virtual_now();
-    if (next_due > vnow) {
-      const double wall_ms = static_cast<double>(next_due - vnow) / speed_;
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(wall_ms));
-    }
+    if (next_due > vnow) std::this_thread::sleep_for(wall_wait(next_due - vnow));
   }
 }
 

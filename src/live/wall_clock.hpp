@@ -47,6 +47,12 @@ class WallClock final : public sim::Engine {
   /// speed value selecting deterministic fast-replay.
   static constexpr double kMaxSpeed = std::numeric_limits<double>::infinity();
 
+  /// The longest wall wait wall_until_next() reports, and the longest one
+  /// sleep of a paced run_until(). At a tiny speed the virtual gap to the
+  /// next event maps to a wall time no duration type holds; the paced loop
+  /// re-checks after every sleep, so the cap changes nothing observable.
+  static constexpr std::chrono::hours kMaxWallWait{1};
+
   struct Options {
     /// Virtual milliseconds per wall millisecond; kMaxSpeed = fast-replay.
     /// Must be > 0.
@@ -99,7 +105,8 @@ class WallClock final : public sim::Engine {
   std::size_t poll();
 
   /// Wall duration until the next pending event is due (zero if already due
-  /// or in fast-replay); nullopt when idle. The serve loop sleeps on this.
+  /// or in fast-replay, at most kMaxWallWait); nullopt when idle. The serve
+  /// loop sleeps on this.
   [[nodiscard]] std::optional<std::chrono::nanoseconds> wall_until_next() const;
 
   [[nodiscard]] bool fast_replay() const noexcept { return replay_; }
@@ -108,6 +115,9 @@ class WallClock final : public sim::Engine {
  private:
   /// Virtual time corresponding to the current wall instant.
   [[nodiscard]] sim::SimTime wall_virtual_now() const;
+  /// The wall time `virtual_ms` (> 0) of virtual time takes at this speed,
+  /// saturated at kMaxWallWait.
+  [[nodiscard]] std::chrono::nanoseconds wall_wait(sim::SimTime virtual_ms) const;
 
   sim::Simulation sim_;
   double speed_ = 1.0;

@@ -21,7 +21,8 @@ RunMetrics run_hosting_scenario(
     world.engine().set_tracer(tracer);
     service.set_tracer(tracer);
   }
-  sched::CloudScheduler scheduler(world.clock(), world.provider(), service,
+  sched::MarketWatcher watcher(world.provider());
+  sched::CloudScheduler scheduler(world.clock(), world.provider(), watcher, service,
                                   config, world.stream("scheduler-timing"));
   scheduler.start();
   {

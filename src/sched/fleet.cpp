@@ -13,7 +13,7 @@ FleetScheduler::FleetScheduler(sim::Clock& clock,
                                const sim::RngFactory& rng_factory)
     : clock_(clock),
       provider_(provider),
-      watcher_(std::make_unique<MarketWatcher>(clock, provider)),
+      watcher_(std::make_unique<MarketWatcher>(provider)),
       services_(config.num_services > 0
                     ? static_cast<std::size_t>(config.num_services)
                     : 0),

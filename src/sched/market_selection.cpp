@@ -102,32 +102,6 @@ double trailing_stddev(const cloud::CloudProvider& provider,
   return trace::trace_stddev(price_trace, from, clamped_to);
 }
 
-std::optional<cloud::MarketId> best_spot_market(
-    const cloud::CloudProvider& provider,
-    const std::vector<cloud::MarketId>& candidates, const SelectionOptions& options) {
-  std::optional<cloud::MarketId> best;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (const auto& market : candidates) {
-    if (options.exclude && *options.exclude == market) continue;
-    if (std::find(options.avoid.begin(), options.avoid.end(), market) !=
-        options.avoid.end()) {
-      continue;
-    }
-    const double eff = effective_spot_price(provider, market, options.units_needed);
-    if (eff >= options.max_effective_price) continue;
-    double score = eff;
-    if (options.stability == StabilityPolicy::kPenalizeVolatility) {
-      score += options.stability_penalty_weight *
-               trailing_stddev(provider, market, options.now, options.stability_window);
-    }
-    if (score < best_score) {
-      best_score = score;
-      best = market;
-    }
-  }
-  return best;
-}
-
 std::string cheapest_on_demand_region(const cloud::CloudProvider& provider,
                                       const std::vector<std::string>& regions,
                                       cloud::InstanceSize size) {

@@ -7,7 +7,6 @@
 // *effective* price = spot price * units_needed / capacity(size).
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,27 +57,6 @@ std::vector<cloud::MarketId> candidate_markets(
 double trailing_stddev(const cloud::CloudProvider& provider,
                        const cloud::MarketId& market, sim::SimTime now,
                        sim::SimTime window);
-
-struct SelectionOptions {
-  int units_needed = 1;
-  /// Markets whose effective price is >= this threshold are excluded.
-  double max_effective_price = 0.0;
-  /// Exclude this market (typically the one currently held).
-  std::optional<cloud::MarketId> exclude;
-  /// Additional markets to skip — those that recently failed allocation
-  /// (the fault-recovery retry chain walks to the next-cheapest market).
-  std::vector<cloud::MarketId> avoid{};
-  /// Stability-aware scoring: score = eff_price + weight * trailing stddev.
-  StabilityPolicy stability = StabilityPolicy::kIgnore;
-  double stability_penalty_weight = 1.0;
-  sim::SimTime stability_window = 3 * sim::kDay;
-  sim::SimTime now = 0;
-};
-
-/// Cheapest (by score) candidate below the threshold, or nullopt.
-std::optional<cloud::MarketId> best_spot_market(
-    const cloud::CloudProvider& provider,
-    const std::vector<cloud::MarketId>& candidates, const SelectionOptions& options);
 
 /// Region with the lowest on-demand price for `size` among `regions`.
 std::string cheapest_on_demand_region(const cloud::CloudProvider& provider,

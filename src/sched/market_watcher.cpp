@@ -6,14 +6,7 @@
 
 namespace spothost::sched {
 
-namespace {
-// Interest lists shorter than this are never swept: a pass over them is
-// cheaper than the bookkeeping.
-constexpr std::size_t kSweepFloor = 16;
-}  // namespace
-
-MarketWatcher::MarketWatcher(sim::Clock& clock, cloud::CloudProvider& provider)
-    : clock_(clock), provider_(provider) {}
+MarketWatcher::MarketWatcher(cloud::CloudProvider& provider) : provider_(provider) {}
 
 MarketWatcher::ListenerId MarketWatcher::add_listener(TriggerListener* listener) {
   if (listener == nullptr) {
@@ -26,10 +19,8 @@ MarketWatcher::ListenerId MarketWatcher::add_listener(TriggerListener* listener)
 
 void MarketWatcher::remove_listener(ListenerId id) {
   if (!alive(id)) return;
+  // Interest lists keep the removed listener's entries; dispatch skips them.
   Listener& rec = listeners_[static_cast<std::size_t>(id - 1)];
-  // Interest lists keep the tombstoned entries until a dispatch-time sweep;
-  // dispatch skips dead entries, so no delivery can happen meanwhile.
-  for (const Watch& w : rec.watches) ++w.interest->dead;
   rec.watches.clear();
   rec.listener = nullptr;
   --live_listeners_;
@@ -43,7 +34,7 @@ void MarketWatcher::watch(ListenerId id, const std::vector<cloud::MarketId>& mar
       // First interest in this market: subscribe the one shared provider
       // feed. Later listeners piggyback on the same subscription.
       cloud::SpotMarket& feed = provider_.market(market);
-      it = interest_.emplace(market, Interest{&feed, {}, 0}).first;
+      it = interest_.emplace(market, Interest{&feed, {}}).first;
       feed.subscribe(static_cast<cloud::SpotMarket::PriceListener*>(this));
     }
     Interest& interest = it->second;
@@ -81,40 +72,17 @@ void MarketWatcher::check_bands(ListenerId id) const {
   }
 }
 
-sim::EventHandle MarketWatcher::schedule_hour_tick(ListenerId id, sim::SimTime at) {
-  return clock_.at(at, [this, id] {
-    Trigger trigger;
-    trigger.kind = TriggerKind::kHourBoundary;
-    deliver(id, trigger);
-  });
-}
-
-void MarketWatcher::arm_revocation(ListenerId id, cloud::InstanceId instance) {
-  provider_.set_revocation_handler(
-      instance, [this, id](cloud::InstanceId warned, sim::SimTime t_term) {
-        Trigger trigger;
-        trigger.kind = TriggerKind::kRevocation;
-        trigger.instance = warned;
-        trigger.t_term = t_term;
-        deliver(id, trigger);
-      });
-}
-
 void MarketWatcher::on_price(const cloud::SpotMarket& market, double new_price) {
   const auto it = interest_.find(market.id());
   if (it == interest_.end()) return;
-  Interest& interest = it->second;
-  Trigger trigger;
-  trigger.kind = TriggerKind::kPriceChange;
-  trigger.market = market.id();
-  trigger.price = new_price;
+  const Interest& interest = it->second;
   // Iteration is by index with the length captured up front: a handler may
   // watch() (grows the same vector — appendees are not part of this step),
-  // remove_listener (tombstones — skipped here), add_listener, or push
-  // another price step reentrantly, all without invalidating the iteration.
-  // No snapshot. Bands are read as the pass reaches them, so a refresh made
-  // by an earlier recipient counts.
-  ++dispatch_depth_;
+  // remove_listener (skipped here), add_listener, or push another price step
+  // reentrantly, all without invalidating the iteration. No snapshot. Bands
+  // are read as the pass reaches them, so a refresh made by an earlier
+  // recipient counts.
+  //
   // The price a woken listener reads. Only a delivery can move it (a
   // reentrant push), so it is re-read after each one.
   double price = market.price();
@@ -126,41 +94,11 @@ void MarketWatcher::on_price(const cloud::SpotMarket& market, double new_price) 
     if (!alive(id)) continue;
     if (deliver_to_all_) check_bands(id);
     ++price_deliveries_;
-    listeners_[static_cast<std::size_t>(id - 1)].listener->on_trigger(trigger);
+    listeners_[static_cast<std::size_t>(id - 1)].listener->on_price_change(market.id(),
+                                                                          new_price);
     refresh(id);
     price = market.price();
   }
-  --dispatch_depth_;
-  // Sweep tombstones once they dominate, but never under a reentrant
-  // dispatch that may still be iterating this list.
-  if (dispatch_depth_ == 0 && interest.entries.size() >= kSweepFloor &&
-      2 * interest.dead > interest.entries.size()) {
-    sweep(interest);
-  }
-}
-
-void MarketWatcher::sweep(Interest& interest) {
-  auto& entries = interest.entries;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (!alive(entries[i].id)) continue;
-    if (kept != i) {
-      entries[kept] = entries[i];
-      for (Watch& w : listeners_[static_cast<std::size_t>(entries[kept].id - 1)].watches) {
-        if (w.interest == &interest) w.slot = kept;
-      }
-    }
-    ++kept;
-  }
-  entries.resize(kept);
-  interest.dead = 0;
-}
-
-void MarketWatcher::deliver(ListenerId id, const Trigger& trigger) {
-  if (!alive(id)) return;
-  if (deliver_to_all_) check_bands(id);
-  listeners_[static_cast<std::size_t>(id - 1)].listener->on_trigger(trigger);
-  refresh(id);
 }
 
 }  // namespace spothost::sched

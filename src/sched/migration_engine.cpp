@@ -6,6 +6,7 @@
 
 #include "faults/injector.hpp"
 #include "obs/sink.hpp"
+#include "sched/scheduler.hpp"
 #include "simcore/logging.hpp"
 
 namespace spothost::sched {
@@ -40,12 +41,12 @@ virt::MechanismCombo live_stripped(virt::MechanismCombo combo) noexcept {
 MigrationEngine::MigrationEngine(sim::Clock& clock,
                                  cloud::CloudProvider& provider,
                                  workload::ServiceEndpoint& service,
-                                 MigrationHost& host, const SchedulerConfig& config,
+                                 CloudScheduler& scheduler, const SchedulerConfig& config,
                                  const virt::VmSpec& spec, sim::RngStream& timing_rng)
     : clock_(clock),
       provider_(provider),
       service_(service),
-      host_(host),
+      scheduler_(scheduler),
       config_(config),
       spec_(spec),
       rng_(timing_rng),
@@ -88,62 +89,58 @@ void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement&
     migration_->dest = provider_.request_on_demand(
         target.market,
         [this](InstanceId iid) {
-          const MigrationHost::BandRefresh refresh(host_);
+          const CloudScheduler::BandRefresh refresh(scheduler_);
           if (!migration_ || migration_->dest != iid) return;
           migration_->dest_ready = true;
           start_transfer();
         },
         [this, cls](cloud::AllocFailure) {
-          const MigrationHost::BandRefresh refresh(host_);
+          const CloudScheduler::BandRefresh refresh(scheduler_);
           // Only an injected capacity fault can land here (on-demand never
           // fails on price). The injector already traced it; drop the move
-          // unless the host's retry policy is allowed to re-trigger.
+          // unless the scheduler's retry policy is allowed to re-trigger.
           if (!migration_) return;
           migration_.reset();
-          if (config_.retry.retries_enabled()) host_.on_voluntary_dest_failed(cls);
+          if (config_.retry.retries_enabled()) scheduler_.on_voluntary_dest_failed(cls);
         });
   } else {
     migration_->dest = provider_.request_spot(
         target.market, target.bid,
         [this](InstanceId iid) {
-          const MigrationHost::BandRefresh refresh(host_);
+          const CloudScheduler::BandRefresh refresh(scheduler_);
           if (!migration_ || migration_->dest != iid) return;
           migration_->dest_ready = true;
-          provider_.set_revocation_handler(
-              iid, [this](InstanceId warned, SimTime t_term) {
-                const MigrationHost::BandRefresh refresh_after_warning(host_);
-                host_.on_revocation_warning(warned, t_term);
-              });
+          scheduler_.handle_revocations(iid);
           start_transfer();
         },
         [this, cls, target = target.market](cloud::AllocFailure reason) {
-          const MigrationHost::BandRefresh refresh(host_);
-          auto e = host_.trace_event(obs::EventKind::kSpotRequestFailed,
-                                     obs::code::kNone);
+          const CloudScheduler::BandRefresh refresh(scheduler_);
+          auto e = scheduler_.trace_event(obs::EventKind::kSpotRequestFailed,
+                                          obs::code::kNone);
           e.market = target.str();
-          host_.trace(std::move(e));
+          scheduler_.trace(std::move(e));
           if (!migration_) return;
           migration_.reset();
           if (reason == cloud::AllocFailure::kInsufficientCapacity &&
               !config_.retry.retries_enabled()) {
             return;  // retries-off ablation: the faulted move is just dropped
           }
-          // The chosen market evaporated; the host decides whether to retry
+          // The chosen market evaporated; the scheduler decides whether to retry
           // (planned: fall back to on-demand if the trigger still holds;
           // reverse: try again next billing hour).
-          host_.on_voluntary_dest_failed(cls);
+          scheduler_.on_voluntary_dest_failed(cls);
         });
   }
   if (owner_ != cloud::kNoOwner) {
     provider_.set_instance_owner(migration_->dest, owner_);
   }
-  auto e = host_.trace_event(obs::EventKind::kMigrationBegin, migration_code(cls));
+  auto e = scheduler_.trace_event(obs::EventKind::kMigrationBegin, migration_code(cls));
   e.instance = source;
   if (cls == virt::MigrationClass::kPlanned) {
     e.aux = target.on_demand ? 1.0 : 0.0;
   }
   e.market = target.market.str();
-  host_.trace(std::move(e));
+  scheduler_.trace(std::move(e));
   SPOTHOST_LOG(sim::LogLevel::kInfo, clock_.now(),
                (cls == virt::MigrationClass::kReverse ? "reverse" : "planned")
                    << " migration -> " << target.market.str()
@@ -152,7 +149,7 @@ void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement&
 
 void MigrationEngine::start_transfer() {
   if (!migration_ || !migration_->dest_ready || migration_->transfer_started) return;
-  if (host_.source_instance() == cloud::kInvalidInstance) return;
+  if (scheduler_.current_instance() == cloud::kInvalidInstance) return;
   bool degrade_to_ckpt = false;
   if (auto* inj = clock_.fault_injector();
       inj && virt::uses_live_migration(config_.combo) &&
@@ -162,41 +159,41 @@ void MigrationEngine::start_transfer() {
       // Live pre-copy aborted: degrade to plain stop-and-copy on the same
       // destination (longer downtime) instead of losing the migration.
       degrade_to_ckpt = true;
-      auto e = host_.trace_event(obs::EventKind::kDegradedMode,
-                                 obs::code::kDegradeLiveToCkpt);
+      auto e = scheduler_.trace_event(obs::EventKind::kDegradedMode,
+                                      obs::code::kDegradeLiveToCkpt);
       e.instance = migration_->dest;
       e.market = migration_->target.str();
-      host_.trace(std::move(e));
+      scheduler_.trace(std::move(e));
     } else {
       const auto cls = migration_->cls;
       abandon(AbandonReason::kFault);
-      if (config_.retry.retries_enabled()) host_.on_voluntary_dest_failed(cls);
+      if (config_.retry.retries_enabled()) scheduler_.on_voluntary_dest_failed(cls);
       return;
     }
   }
   migration_->timings = (degrade_to_ckpt ? ckpt_planner_ : planner_)
                             .plan(migration_->cls, spec_,
-                                  host_.source_market().region,
+                                  scheduler_.source_market().region,
                                   migration_->target.region);
   migration_->transfer_started = true;
   migration_->switchover_at =
       clock_.now() + jittered(migration_->timings.prepare_s);
   migration_->switchover_event =
       clock_.at(migration_->switchover_at, [this] {
-        const MigrationHost::BandRefresh refresh(host_);
+        const CloudScheduler::BandRefresh refresh(scheduler_);
         complete_switchover();
       });
-  auto e = host_.trace_event(obs::EventKind::kMigrationTransfer,
-                             migration_code(migration_->cls));
+  auto e = scheduler_.trace_event(obs::EventKind::kMigrationTransfer,
+                                  migration_code(migration_->cls));
   e.instance = migration_->dest;
   e.value = migration_->timings.prepare_s;
   e.market = migration_->target.str();
-  host_.trace(std::move(e));
+  scheduler_.trace(std::move(e));
 }
 
 void MigrationEngine::complete_switchover() {
   if (!migration_) return;
-  const InstanceId source = host_.source_instance();
+  const InstanceId source = scheduler_.current_instance();
   if (source == cloud::kInvalidInstance) return;
   const Migration m = *migration_;
   migration_.reset();
@@ -214,41 +211,41 @@ void MigrationEngine::complete_switchover() {
   if (provider_.instance(source).state != cloud::InstanceState::kWarned) {
     provider_.terminate(source);
   }
-  host_.on_source_released();
+  scheduler_.on_source_released();
 
   {
-    auto e = host_.trace_event(obs::EventKind::kMigrationSwitchover,
-                               migration_code(m.cls));
+    auto e = scheduler_.trace_event(obs::EventKind::kMigrationSwitchover,
+                                    migration_code(m.cls));
     e.instance = m.dest;
     e.value = sim::to_seconds(downtime);
     e.aux = sim::to_seconds(degraded);
     e.market = m.target.str();
-    host_.trace(std::move(e));
+    scheduler_.trace(std::move(e));
   }
   if (m.cls != virt::MigrationClass::kReverse && !m.target_on_demand) {
-    auto e = host_.trace_event(obs::EventKind::kMarketSwitch, obs::code::kNone);
+    auto e = scheduler_.trace_event(obs::EventKind::kMarketSwitch, obs::code::kNone);
     e.instance = m.dest;
     e.market = m.target.str();
-    host_.trace(std::move(e));
+    scheduler_.trace(std::move(e));
   }
 
   if (downtime > 0 && service_.is_up()) {
     service_.begin_outage(clock_.now(), cause);
     clock_.after(downtime, [this, degraded] {
-      const MigrationHost::BandRefresh refresh(host_);
+      const CloudScheduler::BandRefresh refresh(scheduler_);
       if (forced_) return;  // a forced flow took over mid-switchover
       if (!service_.is_up()) {
         service_.end_outage(clock_.now(), degraded > 0);
         if (degraded > 0) {
           clock_.after(degraded, [this] {
-            const MigrationHost::BandRefresh refresh_after_degraded(host_);
+            const CloudScheduler::BandRefresh refresh_after_degraded(scheduler_);
             service_.end_degraded(clock_.now());
           });
         }
       }
     });
   }
-  host_.adopt(m.dest, m.target, m.target_on_demand);
+  scheduler_.adopt(m.dest, m.target, m.target_on_demand);
 }
 
 void MigrationEngine::abandon(AbandonReason reason) {
@@ -266,11 +263,11 @@ void MigrationEngine::abandon(AbandonReason reason) {
     case AbandonReason::kPreempted: code = obs::code::kAbandonPreempted; break;
     case AbandonReason::kFault: code = obs::code::kAbandonFault; break;
   }
-  auto e = host_.trace_event(obs::EventKind::kMigrationAbandon, code);
+  auto e = scheduler_.trace_event(obs::EventKind::kMigrationAbandon, code);
   e.instance = migration_->dest;
   e.market = migration_->target.str();
   migration_.reset();
-  host_.trace(std::move(e));
+  scheduler_.trace(std::move(e));
 }
 
 std::optional<virt::MigrationClass> MigrationEngine::dest_warned(InstanceId instance) {
@@ -288,14 +285,14 @@ InstanceId MigrationEngine::request_forced_dest(const MarketId& od_market) {
   const InstanceId iid = provider_.request_on_demand(
       od_market,
       [this](InstanceId granted) {
-        const MigrationHost::BandRefresh refresh(host_);
+        const CloudScheduler::BandRefresh refresh(scheduler_);
         if (!forced_ || forced_->dest != granted) return;
         forced_->dest_ready = true;
         forced_->dest_ready_at = clock_.now();
         forced_try_resume();
       },
       [this](cloud::AllocFailure) {
-        const MigrationHost::BandRefresh refresh(host_);
+        const CloudScheduler::BandRefresh refresh(scheduler_);
         on_forced_dest_failed();
       });
   if (owner_ != cloud::kNoOwner) provider_.set_instance_owner(iid, owner_);
@@ -315,10 +312,10 @@ void MigrationEngine::on_forced_dest_failed() {
     // the backoff cap — the service eventually comes back, just slowly.
     if (!forced_->degraded) {
       forced_->degraded = true;
-      auto e = host_.trace_event(obs::EventKind::kDegradedMode,
-                                 obs::code::kDegradeSlowRetry);
+      auto e = scheduler_.trace_event(obs::EventKind::kDegradedMode,
+                                      obs::code::kDegradeSlowRetry);
       e.market = forced_->od_market.str();
-      host_.trace(std::move(e));
+      scheduler_.trace(std::move(e));
     }
     delay_s = retry.backoff_max_s;
   } else {
@@ -330,15 +327,15 @@ void MigrationEngine::on_forced_dest_failed() {
     return;
   }
   {
-    auto e = host_.trace_event(obs::EventKind::kRetryScheduled,
-                               obs::code::kRetryForcedDest);
+    auto e = scheduler_.trace_event(obs::EventKind::kRetryScheduled,
+                                    obs::code::kRetryForcedDest);
     e.value = static_cast<double>(attempt);
     e.aux = delay_s;
     e.market = forced_->od_market.str();
-    host_.trace(std::move(e));
+    scheduler_.trace(std::move(e));
   }
   clock_.after(sim::from_seconds(delay_s), [this] {
-    const MigrationHost::BandRefresh refresh(host_);
+    const CloudScheduler::BandRefresh refresh(scheduler_);
     if (!forced_ || forced_->dest != cloud::kInvalidInstance) return;
     forced_->dest = request_forced_dest(forced_->od_market);
   });
@@ -347,13 +344,13 @@ void MigrationEngine::on_forced_dest_failed() {
 void MigrationEngine::begin_forced(SimTime t_term, InstanceId source,
                                    const MarketId& source_market) {
   {
-    auto e = host_.trace_event(obs::EventKind::kMigrationBegin, obs::code::kForced);
+    auto e = scheduler_.trace_event(obs::EventKind::kMigrationBegin, obs::code::kForced);
     e.instance = source;
     e.value = sim::to_seconds(t_term);
     e.market = source_market.str();
-    host_.trace(std::move(e));
+    scheduler_.trace(std::move(e));
   }
-  host_.on_forced_begin();
+  scheduler_.on_forced_begin();
 
   Forced f;
   f.t_term = t_term;
@@ -390,22 +387,23 @@ void MigrationEngine::begin_forced(SimTime t_term, InstanceId source,
   const SimTime t_stop = std::max(clock_.now(),
                                   t_term - sim::from_seconds(forced_->timings.flush_s));
   clock_.at(t_stop, [this] {
-    const MigrationHost::BandRefresh refresh(host_);
+    const CloudScheduler::BandRefresh refresh(scheduler_);
     if (!forced_) return;
     if (service_.is_up()) {
       service_.begin_outage(clock_.now(),
                             workload::OutageCause::kForcedMigration);
     }
     forced_->service_stopped = true;
-    auto e = host_.trace_event(obs::EventKind::kMigrationTransfer, obs::code::kForced);
+    auto e = scheduler_.trace_event(obs::EventKind::kMigrationTransfer,
+                                    obs::code::kForced);
     e.value = forced_->timings.flush_s;  // the bounded checkpoint flush
-    host_.trace(std::move(e));
+    scheduler_.trace(std::move(e));
     forced_try_resume();
   });
   clock_.at(t_term, [this] {
-    const MigrationHost::BandRefresh refresh(host_);
+    const CloudScheduler::BandRefresh refresh(scheduler_);
     if (!forced_) return;
-    host_.on_source_lost();
+    scheduler_.on_source_lost();
     forced_try_resume();
   });
   SPOTHOST_LOG(sim::LogLevel::kInfo, clock_.now(),
@@ -430,19 +428,19 @@ void MigrationEngine::forced_try_resume() {
         // Absorb the stalled tail as degraded time (lazy-restore style): the
         // service comes up on schedule and back-fills slowly.
         degraded += stall;
-        auto e = host_.trace_event(obs::EventKind::kDegradedMode,
-                                   obs::code::kDegradeStallAbsorbed);
+        auto e = scheduler_.trace_event(obs::EventKind::kDegradedMode,
+                                        obs::code::kDegradeStallAbsorbed);
         e.instance = forced_->dest;
         e.value = sim::to_seconds(stall);
         e.market = dest_market;
-        host_.trace(std::move(e));
+        scheduler_.trace(std::move(e));
       } else {
         restore += stall;  // the outage holds until the full transfer lands
       }
     }
   }
   clock_.after(restore, [this, restore, degraded] {
-    const MigrationHost::BandRefresh refresh(host_);
+    const CloudScheduler::BandRefresh refresh(scheduler_);
     if (!forced_) return;
     const Forced f = *forced_;
     forced_.reset();
@@ -450,19 +448,20 @@ void MigrationEngine::forced_try_resume() {
       service_.end_outage(clock_.now(), degraded > 0);
       if (degraded > 0) {
         clock_.after(degraded, [this] {
-          const MigrationHost::BandRefresh refresh_after_degraded(host_);
+          const CloudScheduler::BandRefresh refresh_after_degraded(scheduler_);
           service_.end_degraded(clock_.now());
         });
       }
     }
     const auto& inst = provider_.instance(f.dest);
-    auto e = host_.trace_event(obs::EventKind::kMigrationSwitchover, obs::code::kForced);
+    auto e = scheduler_.trace_event(obs::EventKind::kMigrationSwitchover,
+                                    obs::code::kForced);
     e.instance = f.dest;
     e.value = sim::to_seconds(restore);
     e.aux = sim::to_seconds(degraded);
     e.market = inst.market.str();
-    host_.trace(std::move(e));
-    host_.adopt(f.dest, inst.market, inst.mode == cloud::BillingMode::kOnDemand);
+    scheduler_.trace(std::move(e));
+    scheduler_.adopt(f.dest, inst.market, inst.mode == cloud::BillingMode::kOnDemand);
   });
 }
 

@@ -6,21 +6,24 @@
 // and the forced revocation flow (bounded checkpoint flush in the grace
 // window, on-demand replacement, lazy restore). It drives the VM mechanism
 // models and the provider's instance lifecycle, but owns no *policy*: the
-// host decides when to migrate and where to (sched/placement.hpp), and the
-// engine reports back through the narrow MigrationHost interface.
+// CloudScheduler that holds it decides when to migrate and where to
+// (sched/placement.hpp). The scheduler makes the engine a friend, and the
+// engine reports back by calling the scheduler's private hooks (adopt,
+// on_forced_begin, on_source_lost, on_source_released,
+// on_voluntary_dest_failed) directly. Each of its simulation callbacks holds
+// a CloudScheduler::BandRefresh, as the scheduler's own do.
 //
-// The host keeps sole ownership of the trace pipeline (MigrationHost::trace)
-// so engine-emitted events still feed the scheduler's CounterSink — stats
-// can never disagree with an attached sink — and of the timing RNG stream,
-// which the engine borrows so jitter draws stay in the monolith's order
-// (same-seed runs are byte-identical).
+// The scheduler keeps sole ownership of the trace pipeline
+// (CloudScheduler::trace) so engine-emitted events still feed its
+// CounterSink — stats can never disagree with an attached sink — and of the
+// timing RNG stream, which the engine borrows so jitter draws stay in the
+// monolith's order (same-seed runs are byte-identical).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
 #include "cloud/provider.hpp"
-#include "obs/counter_sink.hpp"
 #include "sched/placement.hpp"
 #include "sched/scheduler_config.hpp"
 #include "simcore/rng.hpp"
@@ -39,83 +42,13 @@ enum class AbandonReason : std::uint8_t {
   kFault,           ///< an injected mid-flight fault (e.g. live-copy abort)
 };
 
-/// What the MigrationEngine needs from whoever hosts it (CloudScheduler).
-/// Deliberately narrow: current-source queries, lifecycle notifications,
-/// and the trace pipeline. No scheduler internals leak through.
-///
-/// Contract for implementers:
-///  * Every method may be called from inside a simulation event, including
-///    reentrantly from a host call into the engine (begin_forced abandons an
-///    in-flight voluntary move, which calls back on_voluntary_dest_failed
-///    only through the failure path — but adopt/on_source_released do fire
-///    synchronously from complete_switchover). Implementations must tolerate
-///    being invoked while their own call into the engine is on the stack.
-///  * adopt() transfers ownership of `instance` to the host, which becomes
-///    responsible for its revocation handler and eventual termination.
-///  * on_voluntary_dest_failed is advisory: the engine has already torn the
-///    migration down; the host may re-trigger or drop the move. It is NOT
-///    called when fault-recovery retries are disabled (the retries-off
-///    ablation deliberately strands failed moves).
-///  * trace()/trace_event() are the only trace path: the engine never emits
-///    events around the host, so the host's CounterSink (and therefore
-///    SchedulerStats) can never disagree with an attached tracer.
-class MigrationHost {
- public:
-  virtual ~MigrationHost() = default;
-
-  /// The instance currently hosting the service (kInvalidInstance if none).
-  [[nodiscard]] virtual cloud::InstanceId source_instance() const noexcept = 0;
-  /// Market of source_instance(); meaningful only while one is held.
-  [[nodiscard]] virtual cloud::MarketId source_market() const = 0;
-
-  /// A migration completed: the service now runs on `instance`.
-  virtual void adopt(cloud::InstanceId instance, const cloud::MarketId& market,
-                     bool on_demand) = 0;
-  /// A forced flow began: drop any scheduled voluntary-migration timers.
-  virtual void on_forced_begin() = 0;
-  /// The provider terminated the source (forced t_term): the service has no
-  /// home until the forced flow resumes it.
-  virtual void on_source_lost() = 0;
-  /// A voluntary switchover released the source; source-bound timers
-  /// (reverse hour checks) are now stale.
-  virtual void on_source_released() = 0;
-  /// A voluntary destination request failed or its instance was revoked
-  /// before adoption; the host may retry per its trigger policy.
-  virtual void on_voluntary_dest_failed(virt::MigrationClass cls) = 0;
-  /// A revocation warning for an instance the engine armed (a voluntary
-  /// spot destination) — route back through the host's trigger handling.
-  virtual void on_revocation_warning(cloud::InstanceId instance,
-                                     sim::SimTime t_term) = 0;
-  /// Re-derives the host's price bands (MarketWatcher::TriggerListener::
-  /// price_band), which read host and engine state.
-  virtual void refresh_price_bands() = 0;
-
-  /// Calls refresh_price_bands() on scope exit. Every simulation callback
-  /// into the host or its engine that is not a watcher trigger (timers,
-  /// provider grants and failures, destination warnings, start) holds one,
-  /// so no state change leaves a stale band behind.
-  class BandRefresh {
-   public:
-    explicit BandRefresh(MigrationHost& host) noexcept : host_(host) {}
-    ~BandRefresh() { host_.refresh_price_bands(); }
-    BandRefresh(const BandRefresh&) = delete;
-    BandRefresh& operator=(const BandRefresh&) = delete;
-
-   private:
-    MigrationHost& host_;
-  };
-
-  /// Trace pipeline (counters + attached tracer) — the engine never emits
-  /// events around the host.
-  virtual void trace(obs::TraceEvent event) = 0;
-  [[nodiscard]] virtual obs::TraceEvent trace_event(obs::EventKind kind,
-                                                    std::uint8_t code) const = 0;
-};
+class CloudScheduler;
 
 class MigrationEngine {
  public:
+  /// Borrows everything; `scheduler` is the one that holds this engine.
   MigrationEngine(sim::Clock& clock, cloud::CloudProvider& provider,
-                  workload::ServiceEndpoint& service, MigrationHost& host,
+                  workload::ServiceEndpoint& service, CloudScheduler& scheduler,
                   const SchedulerConfig& config, const virt::VmSpec& spec,
                   sim::RngStream& timing_rng);
 
@@ -138,7 +71,8 @@ class MigrationEngine {
   void abandon(AbandonReason reason);
 
   /// Consumes a revocation warning aimed at the in-flight voluntary
-  /// destination: abandons it and returns its class so the host can retry.
+  /// destination: abandons it and returns its class so the scheduler can
+  /// retry.
   /// nullopt = the warning was not for our destination.
   [[nodiscard]] std::optional<virt::MigrationClass> dest_warned(
       cloud::InstanceId instance);
@@ -162,7 +96,7 @@ class MigrationEngine {
     return planner_;
   }
   /// `seconds` as SimTime with the configured lognormal measurement jitter,
-  /// drawn from the host's timing stream.
+  /// drawn from the scheduler's timing stream.
   [[nodiscard]] sim::SimTime jittered(double seconds);
 
   /// Owner tag applied to every destination instance the engine requests
@@ -206,7 +140,7 @@ class MigrationEngine {
   sim::Clock& clock_;
   cloud::CloudProvider& provider_;
   workload::ServiceEndpoint& service_;
-  MigrationHost& host_;
+  CloudScheduler& scheduler_;
   const SchedulerConfig& config_;
   const virt::VmSpec& spec_;
   sim::RngStream& rng_;

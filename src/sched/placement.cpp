@@ -1,10 +1,42 @@
 #include "sched/placement.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "sched/bidding.hpp"
 
 namespace spothost::sched {
+
+bool qualifies(const cloud::MarketId& market, const PlacementQuery& query,
+               double effective_price) {
+  if (query.exclude && *query.exclude == market) return false;
+  if (std::find(query.avoid.begin(), query.avoid.end(), market) != query.avoid.end()) {
+    return false;
+  }
+  return effective_price < query.max_effective_price;
+}
+
+std::optional<cloud::MarketId> best_spot_market(
+    const cloud::CloudProvider& provider, const std::vector<cloud::MarketId>& candidates,
+    const PlacementQuery& query, StabilityPolicy stability,
+    double stability_penalty_weight, sim::SimTime stability_window) {
+  std::optional<cloud::MarketId> best;
+  double best_score = std::numeric_limits<double>::infinity();
+  for (const auto& market : candidates) {
+    const double eff = effective_spot_price(provider, market, query.units_needed);
+    if (!qualifies(market, query, eff)) continue;
+    double score = eff;
+    if (stability == StabilityPolicy::kPenalizeVolatility) {
+      score += stability_penalty_weight *
+               trailing_stddev(provider, market, query.now, stability_window);
+    }
+    if (score < best_score) {
+      best_score = score;
+      best = market;
+    }
+  }
+  return best;
+}
 
 std::string_view ScopedPlacementPolicy::name() const noexcept { return "scoped"; }
 
@@ -17,18 +49,11 @@ std::vector<cloud::MarketId> ScopedPlacementPolicy::watched_markets(
 std::optional<Placement> ScopedPlacementPolicy::choose_spot(
     const cloud::CloudProvider& provider, const SchedulerConfig& config,
     const PlacementQuery& query) const {
-  SelectionOptions options;
-  options.units_needed = query.units_needed;
-  options.max_effective_price = query.max_effective_price;
-  options.exclude = query.exclude;
-  options.avoid = query.avoid;
-  options.stability = config.stability;
-  options.stability_penalty_weight = config.stability_penalty_weight;
-  options.stability_window = config.stability_window;
-  options.now = query.now;
   const auto candidates = candidate_markets(provider, config.scope,
                                             config.home_market, config.allowed_regions);
-  const auto best = best_spot_market(provider, candidates, options);
+  const auto best =
+      best_spot_market(provider, candidates, query, config.stability,
+                       config.stability_penalty_weight, config.stability_window);
   if (!best) return std::nullopt;
   return Placement{*best, /*on_demand=*/false,
                    bid_strategy_for(config)->bid_for(provider, config, *best, query.now)};

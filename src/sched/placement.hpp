@@ -56,6 +56,21 @@ struct PlacementQuery {
   sim::SimTime now = 0;
 };
 
+/// The spot-candidate filter every shipped policy applies: `market`, at
+/// `effective_price`, qualifies when the query neither excludes nor avoids
+/// it and the price is strictly below the query's ceiling.
+[[nodiscard]] bool qualifies(const cloud::MarketId& market, const PlacementQuery& query,
+                             double effective_price);
+
+/// The qualifying candidate with the lowest score, or nullopt. The score is
+/// the effective price, plus `stability_penalty_weight` × the trailing
+/// price stddev over `stability_window` under kPenalizeVolatility. Of equal
+/// scores, the earliest candidate wins.
+[[nodiscard]] std::optional<cloud::MarketId> best_spot_market(
+    const cloud::CloudProvider& provider, const std::vector<cloud::MarketId>& candidates,
+    const PlacementQuery& query, StabilityPolicy stability,
+    double stability_penalty_weight, sim::SimTime stability_window);
+
 /// Strategy interface for destination selection (layer 2 of the scheduler).
 ///
 /// Contract for implementers:

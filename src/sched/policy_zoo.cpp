@@ -10,21 +10,6 @@
 #include "trace/features.hpp"
 
 namespace spothost::sched {
-namespace {
-
-/// Mirrors best_spot_market's filter: a candidate qualifies when it is not
-/// excluded/avoided and its effective price is strictly below the ceiling.
-bool qualifies(const cloud::MarketId& market, const PlacementQuery& query,
-               double effective_price) {
-  if (query.exclude && *query.exclude == market) return false;
-  if (std::find(query.avoid.begin(), query.avoid.end(), market) !=
-      query.avoid.end()) {
-    return false;
-  }
-  return effective_price < query.max_effective_price;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // PortfolioPlacementPolicy

@@ -19,6 +19,13 @@ namespace {
 constexpr double kLeadSafetyFactor = 1.3;  // allocation-latency headroom
 constexpr SimTime kLeadSlack = 60 * sim::kSecond;
 
+// The engine is built from the config in the member initializers, so the
+// config is checked there, before anything reads it.
+SchedulerConfig checked(SchedulerConfig config) {
+  config.validate();
+  return config;
+}
+
 }  // namespace
 
 void CloudScheduler::trace(obs::TraceEvent event) {
@@ -38,36 +45,17 @@ obs::TraceEvent CloudScheduler::trace_event(obs::EventKind kind,
 }
 
 CloudScheduler::CloudScheduler(sim::Clock& clock,
-                               cloud::CloudProvider& provider,
-                               workload::ServiceEndpoint& service,
-                               SchedulerConfig config, sim::RngStream timing_rng)
-    : CloudScheduler(clock, provider,
-                     std::make_unique<MarketWatcher>(clock, provider),
-                     /*shared_watcher=*/nullptr, service, std::move(config),
-                     std::move(timing_rng)) {}
-
-CloudScheduler::CloudScheduler(sim::Clock& clock,
                                cloud::CloudProvider& provider, MarketWatcher& watcher,
-                               workload::ServiceEndpoint& service,
-                               SchedulerConfig config, sim::RngStream timing_rng)
-    : CloudScheduler(clock, provider, /*owned_watcher=*/nullptr, &watcher,
-                     service, std::move(config), std::move(timing_rng)) {}
-
-CloudScheduler::CloudScheduler(sim::Clock& clock,
-                               cloud::CloudProvider& provider,
-                               std::unique_ptr<MarketWatcher> owned_watcher,
-                               MarketWatcher* shared_watcher,
                                workload::ServiceEndpoint& service,
                                SchedulerConfig config, sim::RngStream timing_rng)
     : clock_(clock),
       provider_(provider),
       service_(service),
-      config_(std::move(config)),
+      config_(checked(std::move(config))),
       rng_(std::move(timing_rng)),
       spec_(config_.vm_spec),
-      owned_watcher_(std::move(owned_watcher)),
-      watcher_(owned_watcher_ ? *owned_watcher_ : *shared_watcher) {
-  config_.validate();
+      watcher_(watcher),
+      engine_(clock_, provider_, service_, *this, config_, spec_, rng_) {
   if (spec_.memory_gb <= 0) {
     const auto& info = cloud::type_info(config_.home_market.size);
     spec_ = virt::default_spec_for_memory(info.memory_gb, info.disk_gb);
@@ -81,9 +69,6 @@ CloudScheduler::CloudScheduler(sim::Clock& clock,
   }
   placement_ = placement_policy_for(config_);
   bidding_ = bid_strategy_for(config_);
-  MigrationHost& host = *this;  // private base: convert in class scope
-  engine_ = std::make_unique<MigrationEngine>(clock_, provider_, service_,
-                                              host, config_, spec_, rng_);
   listener_ = watcher_.add_listener(
       static_cast<MarketWatcher::TriggerListener*>(this));
 }
@@ -96,7 +81,7 @@ CloudScheduler::~CloudScheduler() {
 
 void CloudScheduler::set_owner_tag(std::uint64_t owner) {
   owner_tag_ = owner;
-  engine_->set_owner_tag(owner);
+  engine_.set_owner_tag(owner);
 }
 
 int CloudScheduler::units_needed() const {
@@ -127,7 +112,7 @@ SimTime CloudScheduler::planned_lead() const {
       holding_ ? holding_->market.region : config_.home_market.region;
   const auto lat = provider_.allocation_latency(region);
   const auto t =
-      engine_->planner().plan(virt::MigrationClass::kPlanned, spec_, region, region);
+      engine_.planner().plan(virt::MigrationClass::kPlanned, spec_, region, region);
   return sim::from_seconds(lat.on_demand_mean_s * kLeadSafetyFactor + t.prepare_s +
                            t.downtime_s) +
          kLeadSlack;
@@ -138,7 +123,7 @@ SimTime CloudScheduler::reverse_lead() const {
       holding_ ? holding_->market.region : config_.home_market.region;
   const auto lat = provider_.allocation_latency(region);
   const auto t =
-      engine_->planner().plan(virt::MigrationClass::kReverse, spec_, region, region);
+      engine_.planner().plan(virt::MigrationClass::kReverse, spec_, region, region);
   return sim::from_seconds(lat.spot_mean_s * kLeadSafetyFactor + t.prepare_s +
                            t.downtime_s) +
          kLeadSlack;
@@ -164,21 +149,6 @@ void CloudScheduler::start() {
   const BandRefresh refresh(*this);
   watcher_.watch(listener_, markets);
   acquire_initial();
-}
-
-void CloudScheduler::on_trigger(const MarketWatcher::Trigger& trigger) {
-  switch (trigger.kind) {
-    case MarketWatcher::TriggerKind::kPriceChange:
-      on_price_change(trigger.market, trigger.price);
-      break;
-    case MarketWatcher::TriggerKind::kHourBoundary:
-      hour_check_event_.reset();
-      on_hour_check();
-      break;
-    case MarketWatcher::TriggerKind::kRevocation:
-      on_revocation_warning(trigger.instance, trigger.t_term);
-      break;
-  }
 }
 
 void CloudScheduler::acquire_initial() {
@@ -278,7 +248,7 @@ void CloudScheduler::on_acquire_capacity_failed(const MarketId& market,
     const BandRefresh refresh(*this);
     if (pending_acquire_ != cloud::kInvalidInstance) return;
     if (state_ != State::kAcquiring && state_ != State::kDown) return;
-    if (engine_->active()) return;
+    if (engine_.active()) return;
     acquire_initial();
   });
 }
@@ -301,7 +271,7 @@ void CloudScheduler::adopt(InstanceId instance, const MarketId& market,
     service_live_ = true;
   }
   if (!on_demand) {
-    watcher_.arm_revocation(listener_, instance);
+    handle_revocations(instance);
     // Guard against adopting into an already-hot market.
     if (bidding_->plans_migrations(config_) && config_.on_demand_allowed() &&
         effective_spot_price(provider_, market, units_needed()) > od_threshold()) {
@@ -321,7 +291,7 @@ void CloudScheduler::adopt(InstanceId instance, const MarketId& market,
 
 void CloudScheduler::on_price_change(const MarketId& market, double new_price) {
   (void)new_price;
-  if (engine_->forced_active()) return;  // the forced flow owns the next transitions
+  if (engine_.forced_active()) return;  // the forced flow owns the next transitions
 
   // Pure-spot reacquisition: the market dipped back below the bid (also
   // covers an initial acquisition that has been waiting for the price).
@@ -354,9 +324,9 @@ void CloudScheduler::on_price_change(const MarketId& market, double new_price) {
     // Spike cancellation: a planned move whose trigger evaporated before
     // its transfer started is abandoned.
     cancel_scheduled_planned();
-    if (engine_->voluntary_class() == virt::MigrationClass::kPlanned &&
-        !engine_->transfer_started()) {
-      engine_->abandon(AbandonReason::kPriceRecovered);
+    if (engine_.voluntary_class() == virt::MigrationClass::kPlanned &&
+        !engine_.transfer_started()) {
+      engine_.abandon(AbandonReason::kPriceRecovered);
     }
   }
 }
@@ -365,7 +335,7 @@ PriceBand CloudScheduler::price_band(const MarketId& market) const {
   // Mirrors on_price_change branch by branch. Every early return there is
   // "never wake"; pure spot while acquiring or down wakes on every step,
   // because the bid may depend on now.
-  if (engine_->forced_active()) return PriceBand::everything();
+  if (engine_.forced_active()) return PriceBand::everything();
   if (!config_.on_demand_allowed()) {
     return state_ == State::kDown || state_ == State::kAcquiring
                ? PriceBand{}
@@ -385,10 +355,10 @@ PriceBand CloudScheduler::price_band(const MarketId& market) const {
     // Below (or fresh): a step below emits no edge and has no timer to
     // cancel and no planned move to abandon.
     const bool abandonable =
-        engine_->voluntary_class() == virt::MigrationClass::kPlanned &&
-        !engine_->transfer_started();
+        engine_.voluntary_class() == virt::MigrationClass::kPlanned &&
+        !engine_.transfer_started();
     if (!timer_pending && !abandonable) return PriceBand{-kInf, edge};
-  } else if (timer_pending || engine_->active()) {
+  } else if (timer_pending || engine_.active()) {
     // Above with a move already armed: a step above emits no edge and
     // maybe_schedule_planned() returns at once.
     return PriceBand{edge, kInf};
@@ -401,7 +371,7 @@ PriceBand CloudScheduler::price_band(const MarketId& market) const {
 // ---------------------------------------------------------------------------
 
 void CloudScheduler::maybe_schedule_planned() {
-  if (engine_->active() || planned_begin_event_.valid()) return;
+  if (engine_.active() || planned_begin_event_.valid()) return;
   if (config_.planned_timing == PlannedTiming::kImmediate) {
     begin_planned();
     return;
@@ -414,7 +384,7 @@ void CloudScheduler::maybe_schedule_planned() {
   planned_begin_event_ = clock_.at(begin_at, [this] {
     const BandRefresh refresh(*this);
     planned_begin_event_.reset();
-    if (state_ != State::kOnSpot || engine_->active() || !holding_) return;
+    if (state_ != State::kOnSpot || engine_.active() || !holding_) return;
     const double eff =
         effective_spot_price(provider_, holding_->market, units_needed());
     if (eff > od_threshold()) begin_planned();
@@ -424,18 +394,18 @@ void CloudScheduler::maybe_schedule_planned() {
 void CloudScheduler::cancel_scheduled_planned() { planned_begin_event_.cancel(); }
 
 void CloudScheduler::begin_planned() {
-  if (state_ != State::kOnSpot || engine_->active() || !holding_) return;
+  if (state_ != State::kOnSpot || engine_.active() || !holding_) return;
   const double threshold = od_threshold() * config_.reverse_price_margin;
   const auto query = placement_query(threshold);
   const auto best = placement_->choose_spot(provider_, config_, query);
   const Placement target =
       best ? *best : placement_->choose_on_demand(provider_, config_, query);
-  engine_->begin_voluntary(virt::MigrationClass::kPlanned, target, holding_->id);
+  engine_.begin_voluntary(virt::MigrationClass::kPlanned, target, holding_->id);
 }
 
 void CloudScheduler::begin_reverse(const Placement& target) {
-  if (state_ != State::kOnDemand || engine_->active() || !holding_) return;
-  engine_->begin_voluntary(virt::MigrationClass::kReverse, target, holding_->id);
+  if (state_ != State::kOnDemand || engine_.active() || !holding_) return;
+  engine_.begin_voluntary(virt::MigrationClass::kReverse, target, holding_->id);
 }
 
 void CloudScheduler::on_voluntary_dest_failed(virt::MigrationClass cls) {
@@ -445,7 +415,7 @@ void CloudScheduler::on_voluntary_dest_failed(virt::MigrationClass cls) {
   }
   // Planned: the cheaper market evaporated (or the destination was revoked
   // before adoption); fall back through placement if the trigger still holds.
-  if (state_ == State::kOnSpot && holding_ && !engine_->forced_active() &&
+  if (state_ == State::kOnSpot && holding_ && !engine_.forced_active() &&
       effective_spot_price(provider_, holding_->market, units_needed()) >
           od_threshold()) {
     begin_planned();
@@ -461,11 +431,15 @@ void CloudScheduler::schedule_hour_check() {
   hour_check_event_.cancel();
   SimTime check_at = next_instance_hour_boundary() - reverse_lead();
   while (check_at <= clock_.now()) check_at += sim::kHour;
-  hour_check_event_ = watcher_.schedule_hour_tick(listener_, check_at);
+  hour_check_event_ = clock_.at(check_at, [this] {
+    const BandRefresh refresh(*this);
+    hour_check_event_.reset();
+    on_hour_check();
+  });
 }
 
 void CloudScheduler::on_hour_check() {
-  if (state_ != State::kOnDemand || engine_->active() || !holding_) return;
+  if (state_ != State::kOnDemand || engine_.active() || !holding_) return;
   {
     auto e = trace_event(obs::EventKind::kBillingHourTick, obs::code::kOnDemand);
     e.instance = holding_->id;
@@ -486,10 +460,17 @@ void CloudScheduler::on_hour_check() {
 // Revocation warnings
 // ---------------------------------------------------------------------------
 
+void CloudScheduler::handle_revocations(InstanceId instance) {
+  provider_.set_revocation_handler(instance, [this](InstanceId warned, SimTime t_term) {
+    const BandRefresh refresh(*this);
+    on_revocation_warning(warned, t_term);
+  });
+}
+
 void CloudScheduler::on_revocation_warning(InstanceId instance, SimTime t_term) {
   // A migration *destination* got warned before adoption: walk away from it
   // and retry through the normal trigger policy.
-  if (const auto cls = engine_->dest_warned(instance)) {
+  if (const auto cls = engine_.dest_warned(instance)) {
     on_voluntary_dest_failed(*cls);
     return;
   }
@@ -498,8 +479,8 @@ void CloudScheduler::on_revocation_warning(InstanceId instance, SimTime t_term) 
   if (!config_.on_demand_allowed()) {
     // Pure-spot baseline: checkpoint, go down, wait for the market.
     const auto timings =
-        engine_->planner().plan(virt::MigrationClass::kForced, spec_,
-                                holding_->market.region, holding_->market.region);
+        engine_.planner().plan(virt::MigrationClass::kForced, spec_,
+                               holding_->market.region, holding_->market.region);
     const SimTime t_stop = std::max(clock_.now(),
                                     t_term - sim::from_seconds(timings.flush_s));
     clock_.at(t_stop, [this] {
@@ -519,16 +500,16 @@ void CloudScheduler::on_revocation_warning(InstanceId instance, SimTime t_term) 
 
   // If a voluntary transfer is already in flight and will finish before the
   // axe falls, just let it finish.
-  if (const auto completion = engine_->voluntary_completion_time();
+  if (const auto completion = engine_.voluntary_completion_time();
       completion && *completion <= t_term) {
     return;
   }
 
-  engine_->begin_forced(t_term, holding_->id, holding_->market);
+  engine_.begin_forced(t_term, holding_->id, holding_->market);
 }
 
 // ---------------------------------------------------------------------------
-// MigrationHost notifications
+// Engine notifications
 // ---------------------------------------------------------------------------
 
 void CloudScheduler::on_forced_begin() { cancel_scheduled_planned(); }
@@ -560,10 +541,10 @@ void CloudScheduler::pure_spot_reacquire() {
         }
         // Restoring after an outage: resume from the checkpoint volume.
         const auto timings =
-            engine_->planner().plan(virt::MigrationClass::kForced, spec_,
-                                    home.region, home.region);
-        const SimTime restore = engine_->jittered(timings.restore_s);
-        const SimTime degraded = engine_->jittered(timings.degraded_s);
+            engine_.planner().plan(virt::MigrationClass::kForced, spec_,
+                                   home.region, home.region);
+        const SimTime restore = engine_.jittered(timings.restore_s);
+        const SimTime degraded = engine_.jittered(timings.degraded_s);
         clock_.after(restore, [this, iid, home, degraded] {
           const BandRefresh refresh_after_restore(*this);
           if (!service_.is_up()) {

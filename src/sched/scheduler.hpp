@@ -5,16 +5,20 @@
 // The scheduler is a thin state machine composing three layers:
 //
 //  * MarketWatcher  (sched/market_watcher.hpp) — *when* to move: price
-//    ticks, billing-hour boundaries, and revocation warnings arrive as
-//    typed triggers. A watcher can be shared by a whole fleet, holding one
-//    provider subscription per market however many schedulers listen.
+//    steps, the one event that fans out across a fleet. The watcher is
+//    shared by every scheduler built on it, holding one provider
+//    subscription per market however many schedulers listen. The other two
+//    events arrive directly: the scheduler schedules its billing-hour
+//    checks on the clock and installs its own revocation handlers with the
+//    provider.
 //  * PlacementPolicy (sched/placement.hpp) — *where* to move: destination
 //    market, billing mode, and bid. The scope-driven default reproduces the
 //    paper's single/multi-market/multi-region selection; custom policies
 //    plug in via SchedulerConfig::placement.
 //  * MigrationEngine (sched/migration_engine.hpp) — *how* to move: the
 //    forced / planned / reverse mechanics, driving the VM mechanism models
-//    and instance lifecycle, reporting back through MigrationHost.
+//    and instance lifecycle. The scheduler holds it by value and makes it a
+//    friend; it reports back through the scheduler's private hooks.
 //
 // What remains here is the paper's *decision logic*: the state machine
 // (acquiring / on-spot / on-demand / down), edge-triggered price-crossing
@@ -46,21 +50,16 @@
 
 namespace spothost::sched {
 
-class CloudScheduler : private MigrationHost,
-                       private MarketWatcher::TriggerListener {
+class CloudScheduler : private MarketWatcher::TriggerListener {
  public:
   enum class State { kAcquiring, kOnSpot, kOnDemand, kDown };
 
-  /// Standalone scheduler: owns a private MarketWatcher. `clock` is the
-  /// narrow scheduling interface (a Simulation&, implicitly) — the scheduler
-  /// never touches the engine beyond it.
-  CloudScheduler(sim::Clock& clock, cloud::CloudProvider& provider,
-                 workload::ServiceEndpoint& service, SchedulerConfig config,
-                 sim::RngStream timing_rng);
-
-  /// Fleet composition: listens on a shared MarketWatcher, so N schedulers
-  /// over M markets cost O(M) provider subscriptions instead of O(N×M).
-  /// The watcher must outlive the scheduler.
+  /// `clock` is the narrow scheduling interface (a Simulation&, implicitly)
+  /// — the scheduler never touches the engine beyond it. Price steps arrive
+  /// through `watcher`, which any number of schedulers may share: N
+  /// schedulers over M markets cost O(M) provider subscriptions, not
+  /// O(N×M). The watcher must outlive the scheduler, and the scheduler must
+  /// outlive every run of `clock` after start().
   CloudScheduler(sim::Clock& clock, cloud::CloudProvider& provider,
                  MarketWatcher& watcher, workload::ServiceEndpoint& service,
                  SchedulerConfig config, sim::RngStream timing_rng);
@@ -85,7 +84,7 @@ class CloudScheduler : private MigrationHost,
   [[nodiscard]] cloud::InstanceId current_instance() const noexcept {
     return holding_ ? holding_->id : cloud::kInvalidInstance;
   }
-  /// The trigger layer this scheduler listens on (owned or shared).
+  /// The price-step layer this scheduler listens on.
   [[nodiscard]] const MarketWatcher& watcher() const noexcept { return watcher_; }
   /// The destination-selection strategy in effect.
   [[nodiscard]] const PlacementPolicy& placement() const noexcept { return *placement_; }
@@ -101,10 +100,25 @@ class CloudScheduler : private MigrationHost,
   void set_owner_tag(std::uint64_t owner);
 
  private:
-  CloudScheduler(sim::Clock& clock, cloud::CloudProvider& provider,
-                 std::unique_ptr<MarketWatcher> owned_watcher,
-                 MarketWatcher* shared_watcher, workload::ServiceEndpoint& service,
-                 SchedulerConfig config, sim::RngStream timing_rng);
+  // The engine reports back through the hooks below and wraps its own
+  // simulation callbacks in a BandRefresh.
+  friend class MigrationEngine;
+
+  /// Re-reads this scheduler's price bands on scope exit. Every simulation
+  /// callback into the scheduler or its engine that is not a price step
+  /// (timers, hour checks, provider grants and failures, revocation
+  /// warnings, start) holds one, so no state change leaves a stale band
+  /// behind. The bands read scheduler and engine state.
+  class BandRefresh {
+   public:
+    explicit BandRefresh(CloudScheduler& scheduler) noexcept : scheduler_(scheduler) {}
+    ~BandRefresh() { scheduler_.watcher_.refresh(scheduler_.listener_); }
+    BandRefresh(const BandRefresh&) = delete;
+    BandRefresh& operator=(const BandRefresh&) = delete;
+
+   private:
+    CloudScheduler& scheduler_;
+  };
 
   struct Holding {
     cloud::InstanceId id = cloud::kInvalidInstance;
@@ -116,15 +130,25 @@ class CloudScheduler : private MigrationHost,
     double crossing_price = 0.0;
   };
 
-  // --- triggers (MarketWatcher listener) ------------------------------
+  // --- events ----------------------------------------------------------
   /// MarketWatcher::TriggerListener — direct interface delivery; no
-  /// per-scheduler std::function on the price-tick path.
-  void on_trigger(const MarketWatcher::Trigger& trigger) override;
+  /// per-scheduler std::function on the price-step path.
+  void on_price_change(const cloud::MarketId& market, double new_price) override;
   /// The prices at which on_price_change(market) would do nothing, derived
   /// from state alone (see the definition for the rules).
   [[nodiscard]] PriceBand price_band(const cloud::MarketId& market) const override;
-  void on_price_change(const cloud::MarketId& market, double new_price);
   void on_hour_check();
+  /// Installs the provider's revocation handler for `instance` (the held
+  /// spot server or the engine's spot destination): the warning reaches
+  /// on_revocation_warning under a BandRefresh.
+  ///
+  /// Under fault injection (src/faults) the warning may be delivered late
+  /// (kWarningDelayed) or collapse onto the termination instant itself
+  /// (kWarningDropped) — still strictly before the instance is torn down,
+  /// but possibly with `t_term == now`. The handler must not assume the
+  /// full grace window is left.
+  void handle_revocations(cloud::InstanceId instance);
+  void on_revocation_warning(cloud::InstanceId instance, sim::SimTime t_term);
 
   // --- acquisition ----------------------------------------------------
   void acquire_initial();
@@ -151,27 +175,40 @@ class CloudScheduler : private MigrationHost,
   [[nodiscard]] sim::SimTime reverse_lead() const;
   [[nodiscard]] sim::SimTime next_instance_hour_boundary() const;
 
-  // --- MigrationHost (the engine's view of this scheduler) --------------
-  [[nodiscard]] cloud::InstanceId source_instance() const noexcept override {
-    return holding_ ? holding_->id : cloud::kInvalidInstance;
-  }
-  [[nodiscard]] cloud::MarketId source_market() const override {
+  // --- engine hooks ------------------------------------------------------
+  // Each may run inside a simulation event, and reentrantly while the
+  // scheduler's own call into the engine is on the stack (complete_switchover
+  // calls on_source_released and adopt synchronously).
+
+  /// Market of current_instance(); the home market while none is held.
+  [[nodiscard]] const cloud::MarketId& source_market() const noexcept {
     return holding_ ? holding_->market : config_.home_market;
   }
+  /// A migration completed (or an acquisition was granted): the service now
+  /// runs on `instance`, whose revocation warnings and eventual termination
+  /// are the scheduler's.
   void adopt(cloud::InstanceId instance, const cloud::MarketId& market,
-             bool on_demand) override;
-  void on_forced_begin() override;
-  void on_source_lost() override;
-  void on_source_released() override;
-  void on_voluntary_dest_failed(virt::MigrationClass cls) override;
-  void on_revocation_warning(cloud::InstanceId instance, sim::SimTime t_term) override;
-  void refresh_price_bands() override { watcher_.refresh(listener_); }
+             bool on_demand);
+  /// A forced flow began: drop any scheduled planned-migration timer.
+  void on_forced_begin();
+  /// The provider terminated the source (forced t_term): the service has no
+  /// home until the forced flow resumes it.
+  void on_source_lost();
+  /// A voluntary switchover released the source; its reverse hour check is
+  /// now stale.
+  void on_source_released();
+  /// A voluntary destination request failed or its instance was warned
+  /// before adoption; retry per the trigger policy. Advisory: the engine has
+  /// already torn the move down, and does not call this when fault-recovery
+  /// retries are off (the retries-off ablation strands failed moves).
+  void on_voluntary_dest_failed(virt::MigrationClass cls);
 
-  /// Feeds the event into counters_ (the stats backing store) and forwards
-  /// it to the clock's tracer, if one is attached.
-  void trace(obs::TraceEvent event) override;
+  /// The only trace path, the engine's included: feeds the event into
+  /// counters_ (the stats backing store) and forwards it to the clock's
+  /// tracer, if one is attached, so stats never disagree with the tracer.
+  void trace(obs::TraceEvent event);
   [[nodiscard]] obs::TraceEvent trace_event(obs::EventKind kind,
-                                            std::uint8_t code) const override;
+                                            std::uint8_t code) const;
 
   sim::Clock& clock_;
   cloud::CloudProvider& provider_;
@@ -179,11 +216,11 @@ class CloudScheduler : private MigrationHost,
   SchedulerConfig config_;
   sim::RngStream rng_;
   virt::VmSpec spec_;
-  std::unique_ptr<MarketWatcher> owned_watcher_;  ///< standalone mode only
   MarketWatcher& watcher_;
   std::shared_ptr<const PlacementPolicy> placement_;
   std::shared_ptr<const BidStrategy> bidding_;
-  std::unique_ptr<MigrationEngine> engine_;
+  /// Borrows config_, spec_ and rng_, so it is declared after them.
+  MigrationEngine engine_;
   MarketWatcher::ListenerId listener_ = MarketWatcher::kInvalidListener;
 
   State state_ = State::kAcquiring;
@@ -203,7 +240,7 @@ class CloudScheduler : private MigrationHost,
   /// adopted market. Reset whenever a new instance is adopted.
   CrossingDetector crossing_;
   /// Ledger attribution tag for every instance this scheduler requests
-  /// (kNoOwner = untagged, the standalone default).
+  /// (kNoOwner = untagged, the single-service default).
   std::uint64_t owner_tag_ = cloud::kNoOwner;
 };
 

@@ -55,7 +55,8 @@ RunResult run_jsonl(const sched::Scenario& scenario,
   tracer.add_sink(&sink);
   world.engine().set_tracer(&tracer);
   service.set_tracer(&tracer);
-  sched::CloudScheduler scheduler(world.clock(), world.provider(), service,
+  sched::MarketWatcher watcher(world.provider());
+  sched::CloudScheduler scheduler(world.clock(), world.provider(), watcher, service,
                                   config, world.stream("scheduler-timing"));
   scheduler.start();
   world.engine().run_until(world.horizon());

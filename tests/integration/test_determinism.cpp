@@ -96,7 +96,8 @@ TEST(Determinism, SimulationIsFinite) {
   workload::AlwaysOnService service("svc", virt::VmSpec{});
   auto cfg = sched::proactive_config({"us-east-1a", InstanceSize::kSmall});
   cfg.scope = sched::MarketScope::kMultiRegion;
-  sched::CloudScheduler scheduler(world.clock(), world.provider(), service,
+  sched::MarketWatcher watcher(world.provider());
+  sched::CloudScheduler scheduler(world.clock(), world.provider(), watcher, service,
                                   cfg, world.stream("t"));
   scheduler.start();
   world.engine().run_until(world.horizon());

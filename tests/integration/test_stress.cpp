@@ -81,7 +81,8 @@ TEST_P(StressSweep, InvariantsSurviveHostileMarkets) {
   }
   if (param.policy != 2) cfg.scope = param.scope;
   cfg.combo = param.combo;
-  sched::CloudScheduler scheduler(simulation, provider, service, cfg,
+  sched::MarketWatcher watcher(provider);
+  sched::CloudScheduler scheduler(simulation, provider, watcher, service, cfg,
                                   rng.stream("timing"));
   scheduler.start();
   simulation.run_until(horizon);

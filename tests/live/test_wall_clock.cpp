@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -114,6 +115,20 @@ TEST(WallClock, WallUntilNextReflectsQueueState) {
   // Due about a minute of wall time out (minus the test's epsilon of runtime).
   EXPECT_GT(*wait, std::chrono::seconds{50});
   EXPECT_LE(*wait, std::chrono::seconds{60});
+}
+
+TEST(WallClock, WallUntilNextSaturatesAtATinySpeed) {
+  // At the smallest positive speed, one virtual millisecond is more wall
+  // time than any duration holds: the wait saturates at the cap instead of
+  // overflowing the conversion.
+  WallClock::Options tiny;
+  tiny.speed = std::numeric_limits<double>::denorm_min();
+  WallClock clock(tiny);
+  clock.after(1, [] {});
+  const auto wait = clock.wall_until_next();
+  ASSERT_TRUE(wait.has_value());
+  EXPECT_GT(wait->count(), 0);
+  EXPECT_LE(*wait, WallClock::kMaxWallWait);
 }
 
 TEST(WallClock, RealTimeRunAdvancesWithWallTime) {

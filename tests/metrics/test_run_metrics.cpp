@@ -44,7 +44,8 @@ TEST(RunMetrics, NormalizedCostAgainstBaseline) {
   workload::AlwaysOnService service("svc", virt::VmSpec{});
   auto cfg = sched::proactive_config(kHome);
   cfg.timing_jitter_cv = 0.0;
-  sched::CloudScheduler scheduler(h.sim, h.provider, service, cfg,
+  sched::MarketWatcher watcher(h.provider);
+  sched::CloudScheduler scheduler(h.sim, h.provider, watcher, service, cfg,
                                   h.rng.stream("t"));
   scheduler.start();
   h.sim.run_until(kDay);
@@ -68,7 +69,8 @@ TEST(RunMetrics, AttributedCostProRatesLargeBoxes) {
   auto cfg = sched::proactive_config(kHome);
   cfg.scope = sched::MarketScope::kMultiMarket;
   cfg.timing_jitter_cv = 0.0;
-  sched::CloudScheduler scheduler(h.sim, h.provider, service, cfg,
+  sched::MarketWatcher watcher(h.provider);
+  sched::CloudScheduler scheduler(h.sim, h.provider, watcher, service, cfg,
                                   h.rng.stream("t"));
   scheduler.start();
   h.sim.run_until(kDay);
@@ -87,7 +89,8 @@ TEST(RunMetrics, MigrationRatesPerHour) {
   workload::AlwaysOnService service("svc", virt::VmSpec{});
   auto cfg = sched::proactive_config(kHome);
   cfg.timing_jitter_cv = 0.0;
-  sched::CloudScheduler scheduler(h.sim, h.provider, service, cfg,
+  sched::MarketWatcher watcher(h.provider);
+  sched::CloudScheduler scheduler(h.sim, h.provider, watcher, service, cfg,
                                   h.rng.stream("t"));
   scheduler.start();
   h.sim.run_until(kDay);

@@ -222,9 +222,10 @@ std::string standalone_trace(const Scenario& scenario, const SchedulerConfig& co
   workload::AlwaysOnService service("hosted-service", virt::VmSpec{});
   world.engine().set_tracer(&tracer);
   service.set_tracer(&tracer);
-  CloudScheduler scheduler(world.clock(), world.provider(), service, config,
+  MarketWatcher watcher(world.provider());
+  CloudScheduler scheduler(world.clock(), world.provider(), watcher, service, config,
                            world.stream("scheduler-timing"));
-  if (oracle) MarketWatcherTestPeer::deliver_to_all(scheduler.watcher());
+  if (oracle) MarketWatcherTestPeer::deliver_to_all(watcher);
   scheduler.start();
   world.engine().run_until(world.horizon());
   world.provider().finalize(world.horizon());
@@ -351,8 +352,9 @@ HandRun run_hand_built(const std::vector<std::pair<sim::SimTime, double>>& steps
   service.set_tracer(&tracer);
   auto cfg = proactive_config(kHome);
   cfg.timing_jitter_cv = 0.0;
-  CloudScheduler scheduler(sim, provider, service, cfg, rng.stream("timing"));
-  if (oracle) MarketWatcherTestPeer::deliver_to_all(scheduler.watcher());
+  MarketWatcher watcher(provider);
+  CloudScheduler scheduler(sim, provider, watcher, service, cfg, rng.stream("timing"));
+  if (oracle) MarketWatcherTestPeer::deliver_to_all(watcher);
   scheduler.start();
   sim.run_until(kHandHorizon);
   provider.finalize(kHandHorizon);
@@ -360,7 +362,7 @@ HandRun run_hand_built(const std::vector<std::pair<sim::SimTime, double>>& steps
   tracer.flush();
   return HandRun{os.str(), sim.dispatched(), provider.ledger().total_cost(),
                  scheduler.counters().count(obs::EventKind::kPriceCrossing),
-                 scheduler.watcher().price_deliveries()};
+                 watcher.price_deliveries()};
 }
 
 void expect_same_hand_run(const HandRun& band, const HandRun& oracle) {

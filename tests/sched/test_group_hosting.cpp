@@ -35,7 +35,8 @@ TEST(GroupHosting, FourTenantsShareOneServerThroughAMonth) {
                                virt::default_spec_for_memory(1.7, 8.0));
   SchedulerConfig cfg = group_config(group.size());
   cfg.vm_spec = group.aggregate_spec();
-  CloudScheduler scheduler(world.clock(), world.provider(), group, cfg,
+  MarketWatcher watcher(world.provider());
+  CloudScheduler scheduler(world.clock(), world.provider(), watcher, group, cfg,
                            world.stream("t"));
   scheduler.start();
   world.engine().run_until(world.horizon());
@@ -70,7 +71,8 @@ TEST(GroupHosting, PackingBeatsDedicatedSmallBoxesOnCost) {
                                  virt::default_spec_for_memory(1.7, 8.0));
     SchedulerConfig cfg = group_config(group.size());
     cfg.vm_spec = group.aggregate_spec();
-    CloudScheduler scheduler(world.clock(), world.provider(), group, cfg,
+    MarketWatcher watcher(world.provider());
+    CloudScheduler scheduler(world.clock(), world.provider(), watcher, group, cfg,
                              world.stream("t"));
     scheduler.start();
     world.engine().run_until(world.horizon());

@@ -1,4 +1,5 @@
 #include "sched/market_selection.hpp"
+#include "sched/placement.hpp"
 #include "simcore/simulation.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,14 @@ using sim::kHour;
 
 // Two regions x two sizes with fixed prices chosen to exercise the
 // effective-price packing logic.
+/// best_spot_market ranking by effective price alone.
+std::optional<MarketId> cheapest(const cloud::CloudProvider& provider,
+                                 const std::vector<MarketId>& candidates,
+                                 const PlacementQuery& query) {
+  return best_spot_market(provider, candidates, query, StabilityPolicy::kIgnore,
+                          /*stability_penalty_weight=*/0.0, /*stability_window=*/0);
+}
+
 class SelectionTest : public ::testing::Test {
  protected:
   SelectionTest() : rng_(1), provider_(sim_, rng_) {
@@ -79,10 +88,10 @@ TEST_F(SelectionTest, BestMarketPicksCheapestEffective) {
   const auto candidates =
       candidate_markets(provider_, MarketScope::kMultiMarket,
                         {"us-east-1a", InstanceSize::kSmall}, {});
-  SelectionOptions opts;
-  opts.units_needed = 1;
-  opts.max_effective_price = 0.06;
-  const auto best = best_spot_market(provider_, candidates, opts);
+  PlacementQuery query;
+  query.units_needed = 1;
+  query.max_effective_price = 0.06;
+  const auto best = cheapest(provider_, candidates, query);
   ASSERT_TRUE(best.has_value());
   // The large box's per-unit share (0.02) beats the small market (0.03).
   EXPECT_EQ(*best, (MarketId{"us-east-1a", InstanceSize::kLarge}));
@@ -92,33 +101,54 @@ TEST_F(SelectionTest, ThresholdExcludesExpensiveMarkets) {
   const auto candidates =
       candidate_markets(provider_, MarketScope::kMultiMarket,
                         {"us-east-1a", InstanceSize::kSmall}, {});
-  SelectionOptions opts;
-  opts.units_needed = 1;
-  opts.max_effective_price = 0.015;  // below everything
-  EXPECT_FALSE(best_spot_market(provider_, candidates, opts).has_value());
+  PlacementQuery query;
+  query.units_needed = 1;
+  query.max_effective_price = 0.015;  // below everything
+  EXPECT_FALSE(cheapest(provider_, candidates, query).has_value());
 }
 
 TEST_F(SelectionTest, ExcludeSkipsCurrentMarket) {
   const auto candidates =
       candidate_markets(provider_, MarketScope::kMultiMarket,
                         {"us-east-1a", InstanceSize::kSmall}, {});
-  SelectionOptions opts;
-  opts.units_needed = 1;
-  opts.max_effective_price = 0.06;
-  opts.exclude = MarketId{"us-east-1a", InstanceSize::kLarge};
-  const auto best = best_spot_market(provider_, candidates, opts);
+  PlacementQuery query;
+  query.units_needed = 1;
+  query.max_effective_price = 0.06;
+  query.exclude = MarketId{"us-east-1a", InstanceSize::kLarge};
+  const auto best = cheapest(provider_, candidates, query);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(*best, (MarketId{"us-east-1a", InstanceSize::kSmall}));
+}
+
+TEST_F(SelectionTest, AvoidedMarketsAreSkippedLikeTheExcludedOne) {
+  const auto candidates =
+      candidate_markets(provider_, MarketScope::kMultiRegion,
+                        {"us-east-1a", InstanceSize::kSmall}, {});
+  PlacementQuery query;
+  query.units_needed = 1;
+  query.max_effective_price = 0.06;
+  query.exclude = MarketId{"eu-west-1a", InstanceSize::kSmall};
+  query.avoid = {MarketId{"us-east-1a", InstanceSize::kLarge}};
+  const auto best = cheapest(provider_, candidates, query);
+  ASSERT_TRUE(best.has_value());
+  // The two cheapest are out; the us-east small market (0.03) is next.
+  EXPECT_EQ(*best, (MarketId{"us-east-1a", InstanceSize::kSmall}));
+  // At any price under the ceiling, only the other two qualify.
+  const MarketId eu_large{"eu-west-1a", InstanceSize::kLarge};
+  for (const auto& market : candidates) {
+    const bool allowed = market == *best || market == eu_large;
+    EXPECT_EQ(qualifies(market, query, 0.0), allowed) << market.str();
+  }
 }
 
 TEST_F(SelectionTest, MultiRegionFindsForeignBargain) {
   const auto candidates =
       candidate_markets(provider_, MarketScope::kMultiRegion,
                         {"us-east-1a", InstanceSize::kSmall}, {});
-  SelectionOptions opts;
-  opts.units_needed = 1;
-  opts.max_effective_price = 0.06;
-  const auto best = best_spot_market(provider_, candidates, opts);
+  PlacementQuery query;
+  query.units_needed = 1;
+  query.max_effective_price = 0.06;
+  const auto best = cheapest(provider_, candidates, query);
   ASSERT_TRUE(best.has_value());
   // eu-west small at 0.010/unit wins across regions.
   EXPECT_EQ(*best, (MarketId{"eu-west-1a", InstanceSize::kSmall}));
@@ -171,19 +201,18 @@ TEST(SelectionStability, StabilityPenaltyRedirectsChoice) {
   sim.run_until(46 * kHour + 30 * sim::kMinute);
 
   const auto candidates = provider.all_markets();
-  SelectionOptions greedy;
-  greedy.units_needed = 1;
-  greedy.max_effective_price = 0.06;
-  greedy.now = sim.now();
-  const auto g = best_spot_market(provider, candidates, greedy);
+  PlacementQuery query;
+  query.units_needed = 1;
+  query.max_effective_price = 0.06;
+  query.now = sim.now();
+  const auto g = cheapest(provider, candidates, query);
   ASSERT_TRUE(g.has_value());
   EXPECT_EQ(g->region, "us-east-1a");  // greedy chases the cheap price
 
-  SelectionOptions stable = greedy;
-  stable.stability = StabilityPolicy::kPenalizeVolatility;
-  stable.stability_penalty_weight = 2.0;
-  stable.stability_window = 2 * kDay;
-  const auto s = best_spot_market(provider, candidates, stable);
+  const auto s = best_spot_market(provider, candidates, query,
+                                  StabilityPolicy::kPenalizeVolatility,
+                                  /*stability_penalty_weight=*/2.0,
+                                  /*stability_window=*/2 * kDay);
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->region, "us-east-1b");  // stability-aware prefers the calm one
 }

@@ -1,8 +1,7 @@
 // MarketWatcher: one provider subscription per market no matter how many
-// listeners, deterministic fan-out order, typed hour-tick and revocation
-// triggers, price-band routing and its deliver-to-all oracle. Plus the
-// CrossingDetector edge semantics the scheduler's price-crossing events
-// (and its price bands) rely on.
+// listeners, deterministic fan-out order, price-band routing and its
+// deliver-to-all oracle. Plus the CrossingDetector edge semantics the
+// scheduler's price-crossing events (and its price bands) rely on.
 #include "sched/market_watcher.hpp"
 
 #include <gtest/gtest.h>
@@ -25,11 +24,14 @@ namespace {
 // The production surface is the TriggerListener interface (CloudScheduler
 // implements it directly); tests wrap ad-hoc lambdas in an adapter the
 // fixture owns.
+using PriceFn = std::function<void(const cloud::MarketId&, double)>;
+
 struct FnListener final : MarketWatcher::TriggerListener {
-  std::function<void(const MarketWatcher::Trigger&)> fn;
-  explicit FnListener(std::function<void(const MarketWatcher::Trigger&)> f)
-      : fn(std::move(f)) {}
-  void on_trigger(const MarketWatcher::Trigger& t) override { fn(t); }
+  PriceFn fn;
+  explicit FnListener(PriceFn f) : fn(std::move(f)) {}
+  void on_price_change(const cloud::MarketId& market, double price) override {
+    fn(market, price);
+  }
 };
 
 // A listener with a settable band: counts its price deliveries.
@@ -37,8 +39,7 @@ struct BandListener final : MarketWatcher::TriggerListener {
   PriceBand band;
   int deliveries = 0;
   std::function<void()> on_delivery;
-  void on_trigger(const MarketWatcher::Trigger& t) override {
-    if (t.kind != MarketWatcher::TriggerKind::kPriceChange) return;
+  void on_price_change(const cloud::MarketId&, double) override {
     ++deliveries;
     if (on_delivery) on_delivery();
   }
@@ -71,15 +72,10 @@ class MarketWatcherTest : public ::testing::Test {
     add_market(kB, {{0, 0.05}, {3 * kHour, 0.01}});
     provider_->add_live_market(kPushA, 0.06);
     provider_->add_live_market(kPushB, 0.06);
-    cloud::AllocationLatency lat;
-    lat.on_demand_cv = 0.0;
-    lat.spot_mean_s = 60.0;
-    lat.spot_cv = 0.0;
-    provider_->set_allocation_latency("us-east-1a", lat);
     provider_->start();
     provider_->market(kPushA).prime(0.02);
     provider_->market(kPushB).prime(0.05);
-    watcher_ = std::make_unique<MarketWatcher>(*sim_, *provider_);
+    watcher_ = std::make_unique<MarketWatcher>(*provider_);
   }
 
   void add_market(const MarketId& market,
@@ -90,8 +86,7 @@ class MarketWatcherTest : public ::testing::Test {
     provider_->add_market(market, std::move(t), 0.06);
   }
 
-  MarketWatcher::ListenerId add_listener(
-      std::function<void(const MarketWatcher::Trigger&)> fn) {
+  MarketWatcher::ListenerId add_listener(PriceFn fn) {
     owned_.push_back(std::make_unique<FnListener>(std::move(fn)));
     return watcher_->add_listener(owned_.back().get());
   }
@@ -104,8 +99,8 @@ class MarketWatcherTest : public ::testing::Test {
 };
 
 TEST_F(MarketWatcherTest, SubscribesToEachProviderFeedOnce) {
-  const auto l1 = add_listener([](const MarketWatcher::Trigger&) {});
-  const auto l2 = add_listener([](const MarketWatcher::Trigger&) {});
+  const auto l1 = add_listener([](const MarketId&, double) {});
+  const auto l2 = add_listener([](const MarketId&, double) {});
   watcher_->watch(l1, {kA, kB});
   watcher_->watch(l2, {kA});
   watcher_->watch(l2, {kA});  // duplicate interest is a no-op
@@ -120,12 +115,11 @@ TEST_F(MarketWatcherTest, SubscribesToEachProviderFeedOnce) {
 TEST_F(MarketWatcherTest, DeliversPriceTriggersToInterestedListenersOnly) {
   std::vector<std::pair<MarketId, double>> seen_a;
   std::vector<std::pair<MarketId, double>> seen_b;
-  const auto la = add_listener([&](const MarketWatcher::Trigger& t) {
-    ASSERT_EQ(t.kind, MarketWatcher::TriggerKind::kPriceChange);
-    seen_a.emplace_back(t.market, t.price);
+  const auto la = add_listener([&](const MarketId& market, double price) {
+    seen_a.emplace_back(market, price);
   });
-  const auto lb = add_listener([&](const MarketWatcher::Trigger& t) {
-    seen_b.emplace_back(t.market, t.price);
+  const auto lb = add_listener([&](const MarketId& market, double price) {
+    seen_b.emplace_back(market, price);
   });
   watcher_->watch(la, {kA});
   watcher_->watch(lb, {kB});
@@ -141,9 +135,9 @@ TEST_F(MarketWatcherTest, DeliversPriceTriggersToInterestedListenersOnly) {
 TEST_F(MarketWatcherTest, FanOutFollowsRegistrationOrder) {
   std::vector<int> order;
   const auto first = add_listener(
-      [&](const MarketWatcher::Trigger&) { order.push_back(1); });
+      [&](const MarketId&, double) { order.push_back(1); });
   const auto second = add_listener(
-      [&](const MarketWatcher::Trigger&) { order.push_back(2); });
+      [&](const MarketId&, double) { order.push_back(2); });
   // Watch in reverse registration order: delivery follows watch order,
   // which is what fleet determinism keys on.
   watcher_->watch(second, {kA});
@@ -155,7 +149,7 @@ TEST_F(MarketWatcherTest, FanOutFollowsRegistrationOrder) {
 TEST_F(MarketWatcherTest, RemovedListenerReceivesNothing) {
   int fired = 0;
   const auto id = add_listener(
-      [&](const MarketWatcher::Trigger&) { ++fired; });
+      [&](const MarketId&, double) { ++fired; });
   watcher_->watch(id, {kA});
   watcher_->remove_listener(id);
   sim_->run_until(kHorizon);
@@ -170,13 +164,13 @@ TEST_F(MarketWatcherTest, ListenerRemovedMidPassReceivesNothing) {
   // triggers arrive — including in the price pass that is already running.
   std::vector<int> order;
   MarketWatcher::ListenerId victim = MarketWatcher::kInvalidListener;
-  const auto remover = add_listener([&](const MarketWatcher::Trigger&) {
+  const auto remover = add_listener([&](const MarketId&, double) {
     order.push_back(1);
     watcher_->remove_listener(victim);
   });
-  victim = add_listener([&](const MarketWatcher::Trigger&) { order.push_back(2); });
+  victim = add_listener([&](const MarketId&, double) { order.push_back(2); });
   const auto last = add_listener(
-      [&](const MarketWatcher::Trigger&) { order.push_back(3); });
+      [&](const MarketId&, double) { order.push_back(3); });
   watcher_->watch(remover, {kA});
   watcher_->watch(victim, {kA});
   watcher_->watch(last, {kA});
@@ -186,19 +180,19 @@ TEST_F(MarketWatcherTest, ListenerRemovedMidPassReceivesNothing) {
 }
 
 TEST_F(MarketWatcherTest, ReentrantPriceStepDeliversEachMarketOnceInOrder) {
-  // A listener's on_trigger may push a price on another market, which
+  // A listener's on_price_change may push a price on another market, which
   // dispatches synchronously inside the outer pass. Every listener must
   // still receive exactly its own market's trigger, once, and recipients
   // of each market fire in registration order.
   std::vector<std::pair<int, std::pair<MarketId, double>>> seen;
   auto record = [&seen](int who) {
-    return [&seen, who](const MarketWatcher::Trigger& t) {
-      seen.push_back({who, {t.market, t.price}});
+    return [&seen, who](const MarketId& market, double price) {
+      seen.push_back({who, {market, price}});
     };
   };
   const auto first = add_listener(record(1));
-  const auto reentrant = add_listener([&](const MarketWatcher::Trigger& t) {
-    seen.push_back({2, {t.market, t.price}});
+  const auto reentrant = add_listener([&](const MarketId& market, double price) {
+    seen.push_back({2, {market, price}});
     provider_->market(kPushB).push_price(0.01);
   });
   const auto on_b = add_listener(record(3));
@@ -216,57 +210,10 @@ TEST_F(MarketWatcherTest, ReentrantPriceStepDeliversEachMarketOnceInOrder) {
   EXPECT_EQ(seen, expected);
 }
 
-TEST_F(MarketWatcherTest, HourTickArrivesAsTypedTrigger) {
-  std::vector<sim::SimTime> ticks;
-  const auto id = add_listener([&](const MarketWatcher::Trigger& t) {
-    ASSERT_EQ(t.kind, MarketWatcher::TriggerKind::kHourBoundary);
-    ticks.push_back(sim_->now());
-  });
-  const auto ev = watcher_->schedule_hour_tick(id, 2 * kHour);
-  (void)ev;
-  watcher_->schedule_hour_tick(id, 4 * kHour);
-  sim_->run_until(kHorizon);
-  EXPECT_EQ(ticks, (std::vector<sim::SimTime>{2 * kHour, 4 * kHour}));
-}
-
-TEST_F(MarketWatcherTest, CancelledHourTickNeverFires) {
-  int fired = 0;
-  const auto id = add_listener(
-      [&](const MarketWatcher::Trigger&) { ++fired; });
-  auto ev = watcher_->schedule_hour_tick(id, 2 * kHour);
-  EXPECT_TRUE(ev.cancel());
-  sim_->run_until(kHorizon);
-  EXPECT_EQ(fired, 0);
-}
-
-TEST_F(MarketWatcherTest, ArmedRevocationRoutesWarningToListener) {
-  // Bid low enough that kA's step to 0.04 at t=1h outbids the instance.
-  std::vector<MarketWatcher::Trigger> warnings;
-  const auto id = add_listener([&](const MarketWatcher::Trigger& t) {
-    if (t.kind == MarketWatcher::TriggerKind::kRevocation) warnings.push_back(t);
-  });
-  cloud::InstanceId granted = cloud::kInvalidInstance;
-  provider_->request_spot(
-      kA, 0.03,
-      [&](cloud::InstanceId iid) {
-        granted = iid;
-        watcher_->arm_revocation(id, iid);
-      },
-      [](cloud::AllocFailure) { FAIL() << "spot request should be granted at 0.02"; });
-  sim_->run_until(kHorizon);
-
-  ASSERT_NE(granted, cloud::kInvalidInstance);
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_EQ(warnings[0].instance, granted);
-  EXPECT_EQ(warnings[0].t_term, kHour + provider_->grace_period());
-}
-
 TEST_F(MarketWatcherTest, OverlappingAndRepeatedWatchesDeliverOncePerStep) {
   int fired = 0;
-  const auto id = add_listener([&](const MarketWatcher::Trigger& t) {
-    if (t.kind == MarketWatcher::TriggerKind::kPriceChange && t.market == kPushA) {
-      ++fired;
-    }
+  const auto id = add_listener([&](const MarketId& market, double) {
+    if (market == kPushA) ++fired;
   });
   watcher_->watch(id, {kPushA, kPushB});
   watcher_->watch(id, {kPushB, kPushA});
@@ -281,7 +228,7 @@ TEST_F(MarketWatcherTest, OverlappingAndRepeatedWatchesDeliverOncePerStep) {
 TEST_F(MarketWatcherTest, DefaultBandWakesOnEveryStep) {
   // FnListener does not override price_band: full wake, as before bands.
   int fired = 0;
-  const auto id = add_listener([&](const MarketWatcher::Trigger&) { ++fired; });
+  const auto id = add_listener([&](const MarketId&, double) { ++fired; });
   watcher_->watch(id, {kPushA});
   for (const double p : {0.02, 0.02, 0.5, 0.001}) {
     provider_->market(kPushA).push_price(p);
@@ -327,9 +274,10 @@ TEST_F(MarketWatcherTest, BandIsReReadAfterEachDelivery) {
   EXPECT_EQ(listener.deliveries, 1);
 }
 
-TEST_F(MarketWatcherTest, BandsFollowListenersThroughATombstoneSweep) {
-  // Enough listeners that removing most of them triggers a sweep; the
-  // survivors' (market, slot) records must follow their moved entries.
+TEST_F(MarketWatcherTest, SurvivorsKeepTheirBandsAmongRemovedListeners) {
+  // Removing most of a market's listeners leaves their entries in its
+  // column; dispatch must skip them, and each survivor's refresh must still
+  // reach its own entry.
   std::vector<std::unique_ptr<BandListener>> listeners;
   std::vector<MarketWatcher::ListenerId> ids;
   for (int i = 0; i < 40; ++i) {
@@ -342,7 +290,7 @@ TEST_F(MarketWatcherTest, BandsFollowListenersThroughATombstoneSweep) {
     if (i % 10 != 9) watcher_->remove_listener(ids[static_cast<std::size_t>(i)]);
   }
   auto& market = provider_->market(kPushA);
-  market.push_price(0.03);  // sweeps 36 of 40 entries
+  market.push_price(0.03);  // 36 of 40 entries belong to removed listeners
   for (const auto& l : listeners) EXPECT_EQ(l->deliveries, 0);
   // Open one survivor's band: only it may wake.
   listeners[19]->band = PriceBand{};

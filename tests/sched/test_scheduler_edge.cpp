@@ -35,9 +35,12 @@ class SchedulerEdgeTest : public ::testing::Test {
   void build(std::vector<Step> home_steps,
              std::vector<std::pair<MarketId, std::vector<Step>>> extra = {},
              double od_mean_s = 95.0) {
+    // The old scheduler deregisters from the old watcher, so it goes first.
+    scheduler_.reset();
     rng_ = std::make_unique<sim::RngFactory>(7);
     sim_ = std::make_unique<sim::Simulation>();
     provider_ = std::make_unique<cloud::CloudProvider>(*sim_, *rng_);
+    watcher_ = std::make_unique<MarketWatcher>(*provider_);
     add_market(kHome, std::move(home_steps), 0.06);
     for (auto& [market, steps] : extra) {
       add_market(market, std::move(steps),
@@ -70,8 +73,8 @@ class SchedulerEdgeTest : public ::testing::Test {
   void run_with(SchedulerConfig cfg, workload::ServiceEndpoint& endpoint,
                 sim::SimTime until = kHorizon) {
     cfg.timing_jitter_cv = 0.0;
-    scheduler_ = std::make_unique<CloudScheduler>(*sim_, *provider_, endpoint,
-                                                  cfg, rng_->stream("timing"));
+    scheduler_ = std::make_unique<CloudScheduler>(*sim_, *provider_, *watcher_,
+                                                  endpoint, cfg, rng_->stream("timing"));
     scheduler_->start();
     sim_->run_until(until);
     provider_->finalize(until);
@@ -86,6 +89,7 @@ class SchedulerEdgeTest : public ::testing::Test {
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<cloud::CloudProvider> provider_;
   std::unique_ptr<workload::AlwaysOnService> service_;
+  std::unique_ptr<MarketWatcher> watcher_;
   std::unique_ptr<CloudScheduler> scheduler_;
 };
 
