@@ -8,7 +8,9 @@
 //
 // A second golden pins a five-service fleet sharing one MarketWatcher: its
 // JSONL trace plus the rendered fleet-metrics table, so any change to
-// multi-listener fan-out shows up as a hash or digit mismatch.
+// multi-listener fan-out shows up as a hash or digit mismatch. A third pins
+// a ten-service fleet with every fault kind armed, so the fields of the
+// fault, retry and degradation events are pinned too.
 //
 // If a test fails after an INTENTIONAL behaviour change, re-capture: hash
 // the bytes the embedded scenario produces and update the constants
@@ -20,6 +22,7 @@
 #include <sstream>
 #include <string>
 
+#include "obs/counter_sink.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/sink.hpp"
 #include "spothost.hpp"
@@ -43,6 +46,12 @@ constexpr const char* kFleetGoldenTable =
 |----------|---------|--------------|--------|----------------|-----------------|------------|----------|--------|---------|---------|
 | 5        | 37.5800 | 14.9759      | 20.800 | 0.02711        | 0.04974         | 0.09870    | 3        | 9      | 2       | 9       |
 )";
+
+// Captured from the faulted fleet scenario below before schedulers counted
+// their events without building them.
+constexpr std::uint64_t kFaultedGoldenHash = 4827150572047896302ull;
+constexpr std::size_t kFaultedGoldenBytes = 295280;
+constexpr std::size_t kFaultedGoldenLines = 2244;
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -86,7 +95,7 @@ TEST(TraceGolden, ProactiveMultiMarketRunIsByteIdentical) {
   expect_trace(os.str(), kGoldenHash, kGoldenBytes, kGoldenLines);
 }
 
-TEST(FleetGolden, FleetRunIsByteIdentical) {
+sched::FleetConfig golden_fleet_config() {
   sched::FleetConfig cfg;
   cfg.num_services = 5;
   cfg.service_template =
@@ -98,6 +107,19 @@ TEST(FleetGolden, FleetRunIsByteIdentical) {
   cfg.home_markets = {{"us-east-1a", cloud::InstanceSize::kSmall},
                       {"us-east-1b", cloud::InstanceSize::kSmall}};
   cfg.stagger_placement = true;
+  return cfg;
+}
+
+/// Runs `fleet` to the world's horizon, then finalizes provider and fleet.
+void run_fleet(sched::World& world, sched::FleetScheduler& fleet) {
+  fleet.start();
+  world.engine().run_until(world.horizon());
+  world.provider().finalize(world.horizon());
+  fleet.finalize(world.horizon());
+}
+
+TEST(FleetGolden, FleetRunIsByteIdentical) {
+  const sched::FleetConfig cfg = golden_fleet_config();
 
   std::ostringstream os;
   obs::Tracer tracer;
@@ -107,10 +129,7 @@ TEST(FleetGolden, FleetRunIsByteIdentical) {
   sched::World world(golden_scenario());
   world.engine().set_tracer(&tracer);
   sched::FleetScheduler fleet(world.clock(), world.provider(), cfg, world.rng());
-  fleet.start();
-  world.engine().run_until(world.horizon());
-  world.provider().finalize(world.horizon());
-  fleet.finalize(world.horizon());
+  run_fleet(world, fleet);
   tracer.flush();
   expect_trace(os.str(), kFleetGoldenHash, kFleetGoldenBytes, kFleetGoldenLines);
 
@@ -132,6 +151,51 @@ TEST(FleetGolden, FleetRunIsByteIdentical) {
   std::ostringstream rendered;
   table.print(rendered);
   EXPECT_EQ(rendered.str(), kFleetGoldenTable);
+}
+
+// The fleet above at ten services with live migration (so live-copy aborts
+// get opportunities) and every fault kind armed at 0.3.
+sched::Scenario faulted_scenario() {
+  sched::Scenario scenario = golden_scenario();
+  for (const faults::FaultKind kind : faults::kAllFaultKinds) {
+    scenario.fault_plan.with_rate(kind, 0.3);
+  }
+  return scenario;
+}
+
+sched::FleetConfig faulted_fleet_config() {
+  sched::FleetConfig cfg = golden_fleet_config();
+  cfg.num_services = 10;
+  cfg.service_template.combo = virt::MechanismCombo::kCkptLive;
+  return cfg;
+}
+
+TEST(FleetGolden, FaultedFleetRunIsByteIdentical) {
+  std::ostringstream os;
+  obs::Tracer tracer;
+  obs::JsonlSink sink(os);
+  obs::CounterSink counts;
+  tracer.add_sink(&sink);
+  tracer.add_sink(&counts);
+
+  sched::World world(faulted_scenario());
+  world.engine().set_tracer(&tracer);
+  sched::FleetScheduler fleet(world.clock(), world.provider(),
+                              faulted_fleet_config(), world.rng());
+  run_fleet(world, fleet);
+  tracer.flush();
+  expect_trace(os.str(), kFaultedGoldenHash, kFaultedGoldenBytes,
+               kFaultedGoldenLines);
+
+  // Every event kind whose fields the golden exists to pin occurs.
+  for (const faults::FaultKind kind : faults::kAllFaultKinds) {
+    EXPECT_GE(counts.count(obs::EventKind::kFaultInjected,
+                           static_cast<std::uint8_t>(kind)),
+              1u)
+        << faults::to_string(kind);
+  }
+  EXPECT_GE(counts.count(obs::EventKind::kRetryScheduled), 1u);
+  EXPECT_GE(counts.count(obs::EventKind::kDegradedMode), 1u);
 }
 
 }  // namespace
