@@ -1,11 +1,13 @@
 // Engine performance microbenchmarks (google-benchmark): event-queue
 // throughput, synthetic trace generation and memoization, complete hosting
-// runs, and the serve feed reader.
+// runs, a storm fleet-month with and without a trace sink, and the serve
+// feed reader.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include "simcore/timing_wheel.hpp"
 #include "spothost.hpp"
@@ -126,6 +128,56 @@ void BM_FullHostingMonth(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullHostingMonth);
+
+// What tracing costs, and what it costs when off: one 1,000-service storm
+// fleet-month (perfbench fleet_storm's us-east markets and homes, every
+// fault kind at rate 0.05) untraced (arg 0) and with an obs::CounterSink
+// attached (arg 1). Both arms replay the same events; "items/s" is events
+// dispatched per second of run_until + finalize. Set-up and teardown are
+// not timed. Untraced, a scheduler event is a counter increment and a
+// tracer test; traced, every event is built, market string included.
+void BM_StormFleetMonth(benchmark::State& state) {
+  const bool traced = state.range(0) != 0;
+  sched::Scenario scenario;
+  scenario.seed = metrics::run_seed(20150615, 0);
+  scenario.horizon = 30 * sim::kDay;
+  scenario.regions = {"us-east-1a", "us-east-1b"};
+  for (const auto kind : faults::kAllFaultKinds) {
+    scenario.fault_plan.with_rate(kind, 0.05);
+  }
+  sched::FleetConfig cfg;
+  cfg.num_services = 1000;
+  cfg.home_markets = {{"us-east-1a", cloud::InstanceSize::kSmall},
+                      {"us-east-1b", cloud::InstanceSize::kSmall},
+                      {"us-east-1a", cloud::InstanceSize::kLarge},
+                      {"us-east-1b", cloud::InstanceSize::kXLarge}};
+  cfg.service_template = sched::proactive_config(cfg.home_markets.front());
+  obs::Tracer tracer;
+  obs::CounterSink counts;
+  tracer.add_sink(&counts);
+
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto world = std::make_unique<sched::World>(scenario);
+    if (traced) world->engine().set_tracer(&tracer);
+    auto fleet = std::make_unique<sched::FleetScheduler>(
+        world->clock(), world->provider(), cfg, world->rng());
+    fleet->start();
+    state.ResumeTiming();
+    world->engine().run_until(world->horizon());
+    world->provider().finalize(world->horizon());
+    fleet->finalize(world->horizon());
+    state.PauseTiming();
+    events += static_cast<std::int64_t>(world->engine().dispatched());
+    fleet.reset();
+    world.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(events);
+  state.SetLabel(traced ? "CounterSink" : "untraced");
+}
+BENCHMARK(BM_StormFleetMonth)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Fig-08-shaped arm fan-out: five scheduler arms over the SAME (scenario,
 // seed). The per-arm baseline regenerates the market traces inside every

@@ -118,7 +118,8 @@ std::vector<std::string> CloudProvider::regions() const {
 InstanceId CloudProvider::request_on_demand(const MarketId& id, ReadyCallback on_ready,
                                             FailCallback on_fail) {
   (void)market(id);  // validate
-  const InstanceId iid = next_instance_++;
+  Instance& inst = issue_instance();
+  const InstanceId iid = inst.id;
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
     auto e = provider_event(obs::EventKind::kBidPlaced, clock_.now(), id);
     e.code = obs::code::kOnDemand;
@@ -126,12 +127,9 @@ InstanceId CloudProvider::request_on_demand(const MarketId& id, ReadyCallback on
     e.value = od_price(id);
     tracer->emit(e);
   }
-  Instance inst;
-  inst.id = iid;
   inst.market = id;
   inst.mode = BillingMode::kOnDemand;
   inst.requested_at = clock_.now();
-  instances_.emplace(iid, inst);
 
   const AllocationLatency lat = allocation_latency(id.region);
   auto& rng = latency_rng_[id.region];
@@ -154,14 +152,12 @@ InstanceId CloudProvider::request_spot(const MarketId& id, double bid,
                                        ReadyCallback on_ready, FailCallback on_fail) {
   if (bid <= 0) throw std::invalid_argument("request_spot: bid must be > 0");
   (void)market(id);
-  const InstanceId iid = next_instance_++;
-  Instance inst;
-  inst.id = iid;
+  Instance& inst = issue_instance();
+  const InstanceId iid = inst.id;
   inst.market = id;
   inst.mode = BillingMode::kSpot;
   inst.bid = bid;
   inst.requested_at = clock_.now();
-  instances_.emplace(iid, inst);
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
     auto e = provider_event(obs::EventKind::kBidPlaced, clock_.now(), id);
     e.code = obs::code::kSpot;
@@ -197,9 +193,9 @@ void CloudProvider::complete_grant(InstanceId iid) {
   // Injected allocation timeout: the grant takes alloc_timeout_extra_s
   // longer (once per request); price and capacity are re-checked at the new
   // completion time, so a delayed spot grant can still be price-rejected.
+  const auto market_name = [&inst] { return inst.market.str(); };
   if (injector != nullptr && !pit->second.delayed &&
-      injector->should_inject(faults::FaultKind::kAllocTimeout,
-                              inst.market.str(), iid)) {
+      injector->should_inject(faults::FaultKind::kAllocTimeout, market_name, iid)) {
     pit->second.delayed = true;
     pit->second.event =
         clock_.after(sim::from_seconds(injector->plan().alloc_timeout_extra_s),
@@ -215,7 +211,7 @@ void CloudProvider::complete_grant(InstanceId iid) {
   // failure would silently strand the requester.
   if (p.on_fail && injector != nullptr &&
       injector->should_inject(faults::FaultKind::kAllocInsufficientCapacity,
-                              inst.market.str(), iid)) {
+                              market_name, iid)) {
     inst.state = InstanceState::kTerminated;
     SPOTHOST_LOG(sim::LogLevel::kDebug, clock_.now(),
                  "request " << iid << " failed: insufficient capacity (injected)");
@@ -269,11 +265,11 @@ void CloudProvider::set_instance_owner(InstanceId id, std::uint64_t owner) {
 }
 
 void CloudProvider::set_revocation_handler(InstanceId id, RevocationHandler handler) {
-  const Instance& inst = instance(id);
-  if (inst.mode != BillingMode::kSpot) {
+  Slot& s = slot(id);
+  if (s.instance.mode != BillingMode::kSpot) {
     throw std::logic_error("set_revocation_handler: not a spot instance");
   }
-  revocation_handlers_[id] = std::move(handler);
+  s.on_revocation = std::move(handler);
 }
 
 void CloudProvider::terminate(InstanceId id) {
@@ -287,19 +283,23 @@ void CloudProvider::terminate(InstanceId id) {
 }
 
 const Instance& CloudProvider::instance(InstanceId id) const {
-  const auto it = instances_.find(id);
-  if (it == instances_.end()) {
-    throw std::out_of_range("CloudProvider: unknown instance");
-  }
-  return it->second;
+  return slot(id).instance;
 }
 
-Instance& CloudProvider::instance_mut(InstanceId id) {
-  const auto it = instances_.find(id);
-  if (it == instances_.end()) {
+const CloudProvider::Slot& CloudProvider::slot(InstanceId id) const {
+  if (id == kInvalidInstance || id >= next_instance_) {
     throw std::out_of_range("CloudProvider: unknown instance");
   }
-  return it->second;
+  const std::size_t i = id - 1;
+  return slab_[i / kChunkSlots][i % kChunkSlots];
+}
+
+Instance& CloudProvider::issue_instance() {
+  const std::size_t i = next_instance_ - 1;
+  if (i % kChunkSlots == 0) slab_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  Instance& inst = slab_.back()[i % kChunkSlots].instance;
+  inst.id = next_instance_++;
+  return inst;
 }
 
 void CloudProvider::on_price_change(const MarketId& id, double new_price) {
@@ -320,7 +320,8 @@ void CloudProvider::on_price_change(const MarketId& id, double new_price) {
   }
   std::sort(to_warn.begin(), to_warn.end());  // deterministic order
   for (const InstanceId iid : to_warn) {
-    Instance& inst = instance_mut(iid);
+    Slot& warned = slot(iid);
+    Instance& inst = warned.instance;
     drop_running_spot(inst);
     inst.state = InstanceState::kWarned;
     inst.termination_time = clock_.now() + grace_;
@@ -335,18 +336,18 @@ void CloudProvider::on_price_change(const MarketId& id, double new_price) {
     // event is scheduled BEFORE the termination event so that, at equal
     // timestamps, FIFO dispatch hands the customer the warning before the
     // provider pulls the server. Instances without a registered handler are
-    // never faulted — nobody would observe the difference.
-    const auto hit = revocation_handlers_.find(iid);
-    RevocationHandler handler =
-        (hit != revocation_handlers_.end()) ? hit->second : nullptr;
+    // never faulted — nobody would observe the difference. The handler runs
+    // from a copy: it may terminate its own instance, which clears the slot.
+    RevocationHandler handler = warned.on_revocation;
     sim::SimTime deliver_at = clock_.now();
     if (handler) {
       if (auto* injector = clock_.fault_injector()) {
+        const auto market_name = [&id] { return id.str(); };
         if (injector->should_inject(faults::FaultKind::kWarningDropped,
-                                    id.str(), iid)) {
+                                    market_name, iid)) {
           deliver_at = inst.termination_time;
         } else if (injector->should_inject(faults::FaultKind::kWarningDelayed,
-                                           id.str(), iid)) {
+                                           market_name, iid)) {
           deliver_at = std::min(
               clock_.now() +
                   sim::from_seconds(injector->plan().warning_delay_s),
@@ -405,7 +406,7 @@ void CloudProvider::complete_lease(Instance& inst, TerminationCause cause,
         spot_cost(market(inst.market).billable_trace(end), inst.launch, end, cause);
   }
   inst.state = InstanceState::kTerminated;
-  revocation_handlers_.erase(inst.id);
+  slot(inst.id).on_revocation = nullptr;
   ledger_.add(std::move(record));
 }
 
@@ -420,15 +421,12 @@ void CloudProvider::finalize(sim::SimTime at) {
   std::sort(pending_ids.begin(), pending_ids.end());
   for (const InstanceId iid : pending_ids) cancel_request(iid);
 
-  std::vector<InstanceId> running;
-  for (const auto& [iid, inst] : instances_) {
+  // In id order, so the ledger order is deterministic.
+  for (InstanceId iid = 1; iid < next_instance_; ++iid) {
+    Instance& inst = instance_mut(iid);
     if (inst.state == InstanceState::kRunning || inst.state == InstanceState::kWarned) {
-      running.push_back(iid);
+      complete_lease(inst, TerminationCause::kCustomer, at);
     }
-  }
-  std::sort(running.begin(), running.end());
-  for (const InstanceId iid : running) {
-    complete_lease(instance_mut(iid), TerminationCause::kCustomer, at);
   }
 }
 

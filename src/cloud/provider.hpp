@@ -9,6 +9,7 @@
 //  * billing per cloud/billing.hpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -124,6 +125,9 @@ class CloudProvider : private SpotMarket::PriceListener {
   /// Customer-initiated termination (bills the final partial hour).
   void terminate(InstanceId id);
 
+  /// The instance with `id`; std::out_of_range for 0 and for ids not yet
+  /// issued. The reference stays valid for the provider's lifetime, also
+  /// while later requests add instances.
   [[nodiscard]] const Instance& instance(InstanceId id) const;
   [[nodiscard]] sim::SimTime grace_period() const noexcept { return grace_; }
 
@@ -141,6 +145,16 @@ class CloudProvider : private SpotMarket::PriceListener {
     bool delayed = false;  ///< an injected allocation timeout already fired
   };
 
+  /// One issued instance and its revocation handler (empty = none).
+  struct Slot {
+    Instance instance;
+    RevocationHandler on_revocation;
+  };
+  /// Slots per slab chunk. Chunks never move, which keeps every Instance&
+  /// valid as the slab grows; 128 keeps a chunk's allocation rare and
+  /// small next to the instances a run issues.
+  static constexpr std::size_t kChunkSlots = 128;
+
   void adopt_market(MarketId id, std::unique_ptr<SpotMarket> market_ptr);
   /// SpotMarket::PriceListener — one virtual hop per price step, replacing a
   /// per-market std::function that captured the MarketId by value.
@@ -150,7 +164,14 @@ class CloudProvider : private SpotMarket::PriceListener {
   void on_price_change(const MarketId& id, double new_price);
   void complete_grant(InstanceId id);
   void complete_lease(Instance& inst, TerminationCause cause, sim::SimTime end);
-  Instance& instance_mut(InstanceId id);
+  /// Issues the next id and returns its slot's instance, id set.
+  Instance& issue_instance();
+  /// The slot of an issued id; std::out_of_range otherwise.
+  [[nodiscard]] const Slot& slot(InstanceId id) const;
+  Slot& slot(InstanceId id) {
+    return const_cast<Slot&>(std::as_const(*this).slot(id));
+  }
+  Instance& instance_mut(InstanceId id) { return slot(id).instance; }
   /// Removes a spot instance leaving the kRunning state from its market's
   /// running-spot index: O(log n).
   void drop_running_spot(const Instance& inst);
@@ -165,7 +186,9 @@ class CloudProvider : private SpotMarket::PriceListener {
   std::unordered_map<std::string, AllocationLatency> latency_by_region_;
   mutable std::unordered_map<std::string, std::unique_ptr<sim::RngStream>> latency_rng_;
 
-  std::unordered_map<InstanceId, Instance> instances_;
+  /// Every issued instance, id i in slot i - 1: a dense slab of
+  /// fixed-size chunks, so a lookup is arithmetic, not a hash probe.
+  std::vector<std::unique_ptr<Slot[]>> slab_;
   /// Running spot instances per market as (bid, id), lowest bid first, so a
   /// price step visits only the instances it revokes — a prefix — and
   /// never the rest of the market. Revocation order is fixed by sorting the
@@ -173,7 +196,6 @@ class CloudProvider : private SpotMarket::PriceListener {
   std::unordered_map<MarketId, std::set<std::pair<double, InstanceId>>, MarketIdHash>
       running_spot_;
   std::unordered_map<InstanceId, Pending> pending_;
-  std::unordered_map<InstanceId, RevocationHandler> revocation_handlers_;
   InstanceId next_instance_ = 1;
   BillingLedger ledger_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "obs/event.hpp"
 #include "obs/sink.hpp"
@@ -28,8 +29,7 @@ std::uint64_t FaultInjector::injected_total() const noexcept {
   return total;
 }
 
-bool FaultInjector::should_inject(FaultKind kind, std::string_view market,
-                                  std::uint64_t instance) {
+std::uint64_t FaultInjector::decide(FaultKind kind) {
   const auto k = static_cast<std::size_t>(kind);
   const std::uint64_t n = ++opportunities_[k];
 
@@ -41,20 +41,26 @@ bool FaultInjector::should_inject(FaultKind kind, std::string_view market,
   if (!hit && std::binary_search(scheduled_[k].begin(), scheduled_[k].end(), n)) {
     hit = true;
   }
-  if (!hit) return false;
-
+  if (!hit) return 0;
   ++injected_[k];
-  if (auto* tracer = clock_.tracer(); tracer != nullptr && tracer->enabled()) {
-    obs::TraceEvent e;
-    e.t = clock_.now();
-    e.kind = obs::EventKind::kFaultInjected;
-    e.code = static_cast<std::uint8_t>(kind);
-    e.instance = instance;
-    e.value = static_cast<double>(n);  // which opportunity hit
-    e.market = std::string(market);
-    tracer->emit(e);
-  }
-  return true;
+  return n;
+}
+
+bool FaultInjector::tracing() const noexcept {
+  const obs::Tracer* tracer = clock_.tracer();
+  return tracer != nullptr && tracer->enabled();
+}
+
+void FaultInjector::emit(FaultKind kind, std::uint64_t opportunity,
+                         std::string market, std::uint64_t instance) {
+  obs::TraceEvent e;
+  e.t = clock_.now();
+  e.kind = obs::EventKind::kFaultInjected;
+  e.code = static_cast<std::uint8_t>(kind);
+  e.instance = instance;
+  e.value = static_cast<double>(opportunity);  // which opportunity hit
+  e.market = std::move(market);
+  clock_.tracer()->emit(e);
 }
 
 }  // namespace spothost::faults

@@ -9,6 +9,8 @@
 // (an "opportunity"); the injector counts the opportunity, consults the
 // plan, and on a hit emits a kFaultInjected trace event through the
 // simulation's tracer so injections are ordinary, inspectable run events.
+// The caller names the market through a callable the injector invokes only
+// for that event, so an untraced opportunity builds no string.
 //
 // Determinism contract:
 //  * each kind draws from its own named stream ("faults/<kind>"), so arming
@@ -19,8 +21,9 @@
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstdint>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "faults/fault_plan.hpp"
@@ -39,11 +42,21 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Counts one opportunity for `kind` and decides whether it faults.
-  /// `market`/`instance` only annotate the kFaultInjected trace event.
-  bool should_inject(FaultKind kind) { return should_inject(kind, {}, 0); }
-  bool should_inject(FaultKind kind, std::string_view market,
-                     std::uint64_t instance);
+  /// Counts one opportunity for `kind` and decides whether it faults. An
+  /// armed rate draws at every opportunity, traced or not. `market_name()`
+  /// and `instance` only annotate the kFaultInjected trace event, so
+  /// `market_name` is called only on a hit with an enabled tracer.
+  bool should_inject(FaultKind kind) {
+    return should_inject(kind, [] { return std::string(); }, 0);
+  }
+  template <std::invocable MarketName>
+  bool should_inject(FaultKind kind, MarketName&& market_name,
+                     std::uint64_t instance) {
+    const std::uint64_t n = decide(kind);
+    if (n == 0) return false;
+    if (tracing()) emit(kind, n, market_name(), instance);
+    return true;
+  }
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
@@ -57,6 +70,12 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t injected_total() const noexcept;
 
  private:
+  /// Counts the opportunity and draws: its 1-based index on a hit, else 0.
+  std::uint64_t decide(FaultKind kind);
+  [[nodiscard]] bool tracing() const noexcept;
+  void emit(FaultKind kind, std::uint64_t opportunity, std::string market,
+            std::uint64_t instance);
+
   sim::Clock& clock_;
   FaultPlan plan_;
   std::vector<sim::RngStream> streams_;  ///< one per kind, in enum order

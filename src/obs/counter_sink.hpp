@@ -1,8 +1,8 @@
-// Aggregating counter sink: counts events per (kind, code) pair. This is
-// the backing store for sched::SchedulerStats — the scheduler feeds every
-// event it emits through one of these, and stats() is *derived* from the
-// counters, so the end-of-run aggregates and the trace stream can never
-// disagree.
+// Aggregating counter sink: counts events per (kind, code) pair. Attached
+// to a run's tracer, it reconstructs sched::SchedulerStats exactly
+// (sched::scheduler_stats_from reads it with the same mapping as a
+// scheduler's own sched::SchedulerCounts), so the end-of-run aggregates
+// and the trace stream can never disagree.
 #pragma once
 
 #include <array>

@@ -8,9 +8,12 @@
 //  * sinks are owned by the caller (the Tracer only borrows pointers);
 //  * flush() is a hint for buffered sinks (e.g. file writers).
 //
-// Cost discipline: a component with no tracer attached pays one null-pointer
-// check per candidate emission, and a Tracer with no sinks reports
-// enabled() == false so emitters can skip event construction entirely.
+// Cost discipline: emitters build a TraceEvent only when the clock's tracer
+// is non-null and enabled() (a Tracer with no sinks reports false). The
+// provider and the fault injector check before building; a scheduler first
+// counts the event in its own table (sched::SchedulerCounts), which its
+// stats read, and checks after. An untraced event therefore builds no
+// string and allocates nothing.
 #pragma once
 
 #include <algorithm>

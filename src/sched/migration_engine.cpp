@@ -115,10 +115,8 @@ void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement&
         },
         [this, cls, target = target.market](cloud::AllocFailure reason) {
           const CloudScheduler::BandRefresh refresh(scheduler_);
-          auto e = scheduler_.trace_event(obs::EventKind::kSpotRequestFailed,
-                                          obs::code::kNone);
-          e.market = target.str();
-          scheduler_.trace(std::move(e));
+          scheduler_.trace(obs::EventKind::kSpotRequestFailed, obs::code::kNone,
+                           [&](obs::TraceEvent& e) { e.market = target.str(); });
           if (!migration_) return;
           migration_.reset();
           if (reason == cloud::AllocFailure::kInsufficientCapacity &&
@@ -134,13 +132,14 @@ void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement&
   if (owner_ != cloud::kNoOwner) {
     provider_.set_instance_owner(migration_->dest, owner_);
   }
-  auto e = scheduler_.trace_event(obs::EventKind::kMigrationBegin, migration_code(cls));
-  e.instance = source;
-  if (cls == virt::MigrationClass::kPlanned) {
-    e.aux = target.on_demand ? 1.0 : 0.0;
-  }
-  e.market = target.market.str();
-  scheduler_.trace(std::move(e));
+  scheduler_.trace(obs::EventKind::kMigrationBegin, migration_code(cls),
+                   [&](obs::TraceEvent& e) {
+                     e.instance = source;
+                     if (cls == virt::MigrationClass::kPlanned) {
+                       e.aux = target.on_demand ? 1.0 : 0.0;
+                     }
+                     e.market = target.market.str();
+                   });
   SPOTHOST_LOG(sim::LogLevel::kInfo, clock_.now(),
                (cls == virt::MigrationClass::kReverse ? "reverse" : "planned")
                    << " migration -> " << target.market.str()
@@ -153,17 +152,18 @@ void MigrationEngine::start_transfer() {
   bool degrade_to_ckpt = false;
   if (auto* inj = clock_.fault_injector();
       inj && virt::uses_live_migration(config_.combo) &&
-      inj->should_inject(faults::FaultKind::kLiveCopyAbort,
-                         migration_->target.str(), migration_->dest)) {
+      inj->should_inject(
+          faults::FaultKind::kLiveCopyAbort,
+          [this] { return migration_->target.str(); }, migration_->dest)) {
     if (config_.retry.graceful_degradation) {
       // Live pre-copy aborted: degrade to plain stop-and-copy on the same
       // destination (longer downtime) instead of losing the migration.
       degrade_to_ckpt = true;
-      auto e = scheduler_.trace_event(obs::EventKind::kDegradedMode,
-                                      obs::code::kDegradeLiveToCkpt);
-      e.instance = migration_->dest;
-      e.market = migration_->target.str();
-      scheduler_.trace(std::move(e));
+      scheduler_.trace(obs::EventKind::kDegradedMode, obs::code::kDegradeLiveToCkpt,
+                       [this](obs::TraceEvent& e) {
+                         e.instance = migration_->dest;
+                         e.market = migration_->target.str();
+                       });
     } else {
       const auto cls = migration_->cls;
       abandon(AbandonReason::kFault);
@@ -183,12 +183,12 @@ void MigrationEngine::start_transfer() {
         const CloudScheduler::BandRefresh refresh(scheduler_);
         complete_switchover();
       });
-  auto e = scheduler_.trace_event(obs::EventKind::kMigrationTransfer,
-                                  migration_code(migration_->cls));
-  e.instance = migration_->dest;
-  e.value = migration_->timings.prepare_s;
-  e.market = migration_->target.str();
-  scheduler_.trace(std::move(e));
+  scheduler_.trace(obs::EventKind::kMigrationTransfer, migration_code(migration_->cls),
+                   [this](obs::TraceEvent& e) {
+                     e.instance = migration_->dest;
+                     e.value = migration_->timings.prepare_s;
+                     e.market = migration_->target.str();
+                   });
 }
 
 void MigrationEngine::complete_switchover() {
@@ -213,20 +213,19 @@ void MigrationEngine::complete_switchover() {
   }
   scheduler_.on_source_released();
 
-  {
-    auto e = scheduler_.trace_event(obs::EventKind::kMigrationSwitchover,
-                                    migration_code(m.cls));
-    e.instance = m.dest;
-    e.value = sim::to_seconds(downtime);
-    e.aux = sim::to_seconds(degraded);
-    e.market = m.target.str();
-    scheduler_.trace(std::move(e));
-  }
+  scheduler_.trace(obs::EventKind::kMigrationSwitchover, migration_code(m.cls),
+                   [&](obs::TraceEvent& e) {
+                     e.instance = m.dest;
+                     e.value = sim::to_seconds(downtime);
+                     e.aux = sim::to_seconds(degraded);
+                     e.market = m.target.str();
+                   });
   if (m.cls != virt::MigrationClass::kReverse && !m.target_on_demand) {
-    auto e = scheduler_.trace_event(obs::EventKind::kMarketSwitch, obs::code::kNone);
-    e.instance = m.dest;
-    e.market = m.target.str();
-    scheduler_.trace(std::move(e));
+    scheduler_.trace(obs::EventKind::kMarketSwitch, obs::code::kNone,
+                     [&](obs::TraceEvent& e) {
+                       e.instance = m.dest;
+                       e.market = m.target.str();
+                     });
   }
 
   if (downtime > 0 && service_.is_up()) {
@@ -263,11 +262,12 @@ void MigrationEngine::abandon(AbandonReason reason) {
     case AbandonReason::kPreempted: code = obs::code::kAbandonPreempted; break;
     case AbandonReason::kFault: code = obs::code::kAbandonFault; break;
   }
-  auto e = scheduler_.trace_event(obs::EventKind::kMigrationAbandon, code);
-  e.instance = migration_->dest;
-  e.market = migration_->target.str();
+  // The event reads migration_, so it is traced before the reset.
+  scheduler_.trace(obs::EventKind::kMigrationAbandon, code, [this](obs::TraceEvent& e) {
+    e.instance = migration_->dest;
+    e.market = migration_->target.str();
+  });
   migration_.reset();
-  scheduler_.trace(std::move(e));
 }
 
 std::optional<virt::MigrationClass> MigrationEngine::dest_warned(InstanceId instance) {
@@ -312,10 +312,8 @@ void MigrationEngine::on_forced_dest_failed() {
     // the backoff cap — the service eventually comes back, just slowly.
     if (!forced_->degraded) {
       forced_->degraded = true;
-      auto e = scheduler_.trace_event(obs::EventKind::kDegradedMode,
-                                      obs::code::kDegradeSlowRetry);
-      e.market = forced_->od_market.str();
-      scheduler_.trace(std::move(e));
+      scheduler_.trace(obs::EventKind::kDegradedMode, obs::code::kDegradeSlowRetry,
+                       [this](obs::TraceEvent& e) { e.market = forced_->od_market.str(); });
     }
     delay_s = retry.backoff_max_s;
   } else {
@@ -326,14 +324,12 @@ void MigrationEngine::on_forced_dest_failed() {
                      << " failed; retries disabled, giving up");
     return;
   }
-  {
-    auto e = scheduler_.trace_event(obs::EventKind::kRetryScheduled,
-                                    obs::code::kRetryForcedDest);
-    e.value = static_cast<double>(attempt);
-    e.aux = delay_s;
-    e.market = forced_->od_market.str();
-    scheduler_.trace(std::move(e));
-  }
+  scheduler_.trace(obs::EventKind::kRetryScheduled, obs::code::kRetryForcedDest,
+                   [&](obs::TraceEvent& e) {
+                     e.value = static_cast<double>(attempt);
+                     e.aux = delay_s;
+                     e.market = forced_->od_market.str();
+                   });
   clock_.after(sim::from_seconds(delay_s), [this] {
     const CloudScheduler::BandRefresh refresh(scheduler_);
     if (!forced_ || forced_->dest != cloud::kInvalidInstance) return;
@@ -343,13 +339,12 @@ void MigrationEngine::on_forced_dest_failed() {
 
 void MigrationEngine::begin_forced(SimTime t_term, InstanceId source,
                                    const MarketId& source_market) {
-  {
-    auto e = scheduler_.trace_event(obs::EventKind::kMigrationBegin, obs::code::kForced);
-    e.instance = source;
-    e.value = sim::to_seconds(t_term);
-    e.market = source_market.str();
-    scheduler_.trace(std::move(e));
-  }
+  scheduler_.trace(obs::EventKind::kMigrationBegin, obs::code::kForced,
+                   [&](obs::TraceEvent& e) {
+                     e.instance = source;
+                     e.value = sim::to_seconds(t_term);
+                     e.market = source_market.str();
+                   });
   scheduler_.on_forced_begin();
 
   Forced f;
@@ -394,10 +389,10 @@ void MigrationEngine::begin_forced(SimTime t_term, InstanceId source,
                             workload::OutageCause::kForcedMigration);
     }
     forced_->service_stopped = true;
-    auto e = scheduler_.trace_event(obs::EventKind::kMigrationTransfer,
-                                    obs::code::kForced);
-    e.value = forced_->timings.flush_s;  // the bounded checkpoint flush
-    scheduler_.trace(std::move(e));
+    scheduler_.trace(obs::EventKind::kMigrationTransfer, obs::code::kForced,
+                     [this](obs::TraceEvent& e) {
+                       e.value = forced_->timings.flush_s;  // the bounded checkpoint flush
+                     });
     forced_try_resume();
   });
   clock_.at(t_term, [this] {
@@ -418,9 +413,9 @@ void MigrationEngine::forced_try_resume() {
   SimTime restore = jittered(forced_->timings.restore_s);
   SimTime degraded = jittered(forced_->timings.degraded_s);
   if (auto* inj = clock_.fault_injector(); inj) {
-    const std::string dest_market = provider_.instance(forced_->dest).market.str();
-    if (inj->should_inject(faults::FaultKind::kCheckpointStall, dest_market,
-                           forced_->dest)) {
+    const MarketId& dest_market = provider_.instance(forced_->dest).market;
+    if (inj->should_inject(faults::FaultKind::kCheckpointStall,
+                           [&] { return dest_market.str(); }, forced_->dest)) {
       const auto stall = static_cast<SimTime>(std::llround(
           static_cast<double>(restore) *
           (inj->plan().checkpoint_stall_factor - 1.0)));
@@ -428,12 +423,12 @@ void MigrationEngine::forced_try_resume() {
         // Absorb the stalled tail as degraded time (lazy-restore style): the
         // service comes up on schedule and back-fills slowly.
         degraded += stall;
-        auto e = scheduler_.trace_event(obs::EventKind::kDegradedMode,
-                                        obs::code::kDegradeStallAbsorbed);
-        e.instance = forced_->dest;
-        e.value = sim::to_seconds(stall);
-        e.market = dest_market;
-        scheduler_.trace(std::move(e));
+        scheduler_.trace(obs::EventKind::kDegradedMode, obs::code::kDegradeStallAbsorbed,
+                         [&](obs::TraceEvent& e) {
+                           e.instance = forced_->dest;
+                           e.value = sim::to_seconds(stall);
+                           e.market = dest_market.str();
+                         });
       } else {
         restore += stall;  // the outage holds until the full transfer lands
       }
@@ -454,13 +449,13 @@ void MigrationEngine::forced_try_resume() {
       }
     }
     const auto& inst = provider_.instance(f.dest);
-    auto e = scheduler_.trace_event(obs::EventKind::kMigrationSwitchover,
-                                    obs::code::kForced);
-    e.instance = f.dest;
-    e.value = sim::to_seconds(restore);
-    e.aux = sim::to_seconds(degraded);
-    e.market = inst.market.str();
-    scheduler_.trace(std::move(e));
+    scheduler_.trace(obs::EventKind::kMigrationSwitchover, obs::code::kForced,
+                     [&](obs::TraceEvent& e) {
+                       e.instance = f.dest;
+                       e.value = sim::to_seconds(restore);
+                       e.aux = sim::to_seconds(degraded);
+                       e.market = inst.market.str();
+                     });
     scheduler_.adopt(f.dest, inst.market, inst.mode == cloud::BillingMode::kOnDemand);
   });
 }

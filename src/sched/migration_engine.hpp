@@ -14,8 +14,9 @@
 // a CloudScheduler::BandRefresh, as the scheduler's own do.
 //
 // The scheduler keeps sole ownership of the trace pipeline
-// (CloudScheduler::trace) so engine-emitted events still feed its
-// CounterSink — stats can never disagree with an attached sink — and of the
+// (CloudScheduler::trace), so engine-emitted events are counted in its
+// SchedulerCounts like its own — stats can never disagree with an attached
+// sink — and are built only when a tracer is enabled. It also owns the
 // timing RNG stream, which the engine borrows so jitter draws stay in the
 // monolith's order (same-seed runs are byte-identical).
 #pragma once

@@ -28,22 +28,6 @@ SchedulerConfig checked(SchedulerConfig config) {
 
 }  // namespace
 
-void CloudScheduler::trace(obs::TraceEvent event) {
-  counters_.on_event(event);
-  if (auto* tracer = clock_.tracer(); tracer != nullptr && tracer->enabled()) {
-    tracer->emit(event);
-  }
-}
-
-obs::TraceEvent CloudScheduler::trace_event(obs::EventKind kind,
-                                            std::uint8_t code) const {
-  obs::TraceEvent e;
-  e.t = clock_.now();
-  e.kind = kind;
-  e.code = code;
-  return e;
-}
-
 CloudScheduler::CloudScheduler(sim::Clock& clock,
                                cloud::CloudProvider& provider, MarketWatcher& watcher,
                                workload::ServiceEndpoint& service,
@@ -172,9 +156,8 @@ void CloudScheduler::acquire_initial() {
         [this, target](cloud::AllocFailure reason) {
           const BandRefresh refresh(*this);
           pending_acquire_ = cloud::kInvalidInstance;
-          auto e = trace_event(obs::EventKind::kSpotRequestFailed, obs::code::kNone);
-          e.market = target.str();
-          trace(std::move(e));
+          trace(obs::EventKind::kSpotRequestFailed, obs::code::kNone,
+                [&](obs::TraceEvent& e) { e.market = target.str(); });
           if (reason == cloud::AllocFailure::kInsufficientCapacity) {
             on_acquire_capacity_failed(target, /*was_spot=*/true);
             return;
@@ -223,10 +206,8 @@ void CloudScheduler::on_acquire_capacity_failed(const MarketId& market,
     // backoff cap until something is granted.
     if (!degraded_acquire_) {
       degraded_acquire_ = true;
-      auto e = trace_event(obs::EventKind::kDegradedMode,
-                           obs::code::kDegradeSlowRetry);
-      e.market = market.str();
-      trace(std::move(e));
+      trace(obs::EventKind::kDegradedMode, obs::code::kDegradeSlowRetry,
+            [&](obs::TraceEvent& e) { e.market = market.str(); });
     }
     delay_s = retry.backoff_max_s;
   } else {
@@ -237,13 +218,12 @@ void CloudScheduler::on_acquire_capacity_failed(const MarketId& market,
                      << " failed (capacity); retries disabled, giving up");
     return;
   }
-  {
-    auto e = trace_event(obs::EventKind::kRetryScheduled, obs::code::kRetryAcquire);
-    e.value = static_cast<double>(attempt);
-    e.aux = delay_s;
-    e.market = market.str();
-    trace(std::move(e));
-  }
+  trace(obs::EventKind::kRetryScheduled, obs::code::kRetryAcquire,
+        [&](obs::TraceEvent& e) {
+          e.value = static_cast<double>(attempt);
+          e.aux = delay_s;
+          e.market = market.str();
+        });
   clock_.after(sim::from_seconds(delay_s), [this] {
     const BandRefresh refresh(*this);
     if (pending_acquire_ != cloud::kInvalidInstance) return;
@@ -310,13 +290,13 @@ void CloudScheduler::on_price_change(const MarketId& market, double new_price) {
   // Edge-triggered: one event per crossing of the on-demand threshold, not
   // one per price tick.
   if (crossing_.observe(above) != CrossingDetector::Edge::kNone) {
-    auto e = trace_event(obs::EventKind::kPriceCrossing,
-                         above ? obs::code::kAbove : obs::code::kBelow);
-    e.instance = holding_->id;
-    e.value = eff;
-    e.aux = threshold;
-    e.market = market.str();
-    trace(std::move(e));
+    trace(obs::EventKind::kPriceCrossing, above ? obs::code::kAbove : obs::code::kBelow,
+          [&](obs::TraceEvent& e) {
+            e.instance = holding_->id;
+            e.value = eff;
+            e.aux = threshold;
+            e.market = market.str();
+          });
   }
   if (above) {
     maybe_schedule_planned();
@@ -440,12 +420,11 @@ void CloudScheduler::schedule_hour_check() {
 
 void CloudScheduler::on_hour_check() {
   if (state_ != State::kOnDemand || engine_.active() || !holding_) return;
-  {
-    auto e = trace_event(obs::EventKind::kBillingHourTick, obs::code::kOnDemand);
-    e.instance = holding_->id;
-    e.market = holding_->market.str();
-    trace(std::move(e));
-  }
+  trace(obs::EventKind::kBillingHourTick, obs::code::kOnDemand,
+        [&](obs::TraceEvent& e) {
+          e.instance = holding_->id;
+          e.market = holding_->market.str();
+        });
   const double threshold = od_threshold() * config_.reverse_price_margin;
   const auto best = placement_->choose_spot(provider_, config_,
                                             placement_query(threshold));
@@ -562,9 +541,8 @@ void CloudScheduler::pure_spot_reacquire() {
       [this, home](cloud::AllocFailure reason) {
         const BandRefresh refresh(*this);
         pending_acquire_ = cloud::kInvalidInstance;
-        auto e = trace_event(obs::EventKind::kSpotRequestFailed, obs::code::kNone);
-        e.market = config_.home_market.str();
-        trace(std::move(e));
+        trace(obs::EventKind::kSpotRequestFailed, obs::code::kNone,
+              [&](obs::TraceEvent& e) { e.market = config_.home_market.str(); });
         if (reason == cloud::AllocFailure::kInsufficientCapacity) {
           // Injected capacity fault: the price is fine, so no price-change
           // trigger will come — back off and retry the same market.

@@ -26,17 +26,18 @@
 // cancellation, and the pure-spot baseline (Fig. 11) where a revocation
 // simply leaves the service down until the market price returns.
 //
-// Observability: every trigger and migration phase is emitted as an
-// obs::TraceEvent. The events always feed the scheduler's own CounterSink —
-// the backing store stats() is derived from — and additionally fan out to
-// any tracer attached to the Simulation (Simulation::set_tracer).
+// Observability: every trigger and migration phase is counted per
+// (kind, code) in the scheduler's own SchedulerCounts — the backing store
+// stats() is derived from. Only when the clock's tracer is enabled
+// (Simulation::set_tracer) is the obs::TraceEvent built and emitted, so an
+// untraced event costs one counter increment.
 #pragma once
 
 #include <memory>
 #include <optional>
 
 #include "cloud/provider.hpp"
-#include "obs/counter_sink.hpp"
+#include "obs/sink.hpp"
 #include "sched/bidding.hpp"
 #include "sched/market_selection.hpp"
 #include "sched/market_watcher.hpp"
@@ -74,11 +75,11 @@ class CloudScheduler : private MarketWatcher::TriggerListener {
   void finalize(sim::SimTime horizon);
 
   [[nodiscard]] State state() const noexcept { return state_; }
-  /// Aggregate view derived on demand from the trace-event counters; by
+  /// Aggregate view derived on demand from the event counts; by
   /// construction it can never disagree with an attached trace sink.
   [[nodiscard]] SchedulerStats stats() const { return scheduler_stats_from(counters_); }
-  /// The raw per-event-kind counters backing stats().
-  [[nodiscard]] const obs::CounterSink& counters() const noexcept { return counters_; }
+  /// The raw per-(kind, code) counts backing stats().
+  [[nodiscard]] const SchedulerCounts& counters() const noexcept { return counters_; }
   [[nodiscard]] const SchedulerConfig& config() const noexcept { return config_; }
   [[nodiscard]] const virt::VmSpec& vm_spec() const noexcept { return spec_; }
   [[nodiscard]] cloud::InstanceId current_instance() const noexcept {
@@ -203,12 +204,24 @@ class CloudScheduler : private MarketWatcher::TriggerListener {
   /// retries are off (the retries-off ablation strands failed moves).
   void on_voluntary_dest_failed(virt::MigrationClass cls);
 
-  /// The only trace path, the engine's included: feeds the event into
-  /// counters_ (the stats backing store) and forwards it to the clock's
-  /// tracer, if one is attached, so stats never disagree with the tracer.
-  void trace(obs::TraceEvent event);
-  [[nodiscard]] obs::TraceEvent trace_event(obs::EventKind kind,
-                                            std::uint8_t code) const;
+  /// The only trace path, the engine's included. Counts (kind, code) in
+  /// counters_, the stats backing store, so stats never disagree with the
+  /// tracer. Only when the clock's tracer is enabled does it build the
+  /// event (t, kind, code), call `fill(event)` to set the kind's other
+  /// fields, and emit it: an untraced event builds no string. A caller
+  /// whose fields read state it is about to reset traces before the reset.
+  template <typename Fill>
+  void trace(obs::EventKind kind, std::uint8_t code, Fill&& fill) {
+    counters_.add(kind, code);
+    if (obs::Tracer* tracer = clock_.tracer(); tracer != nullptr && tracer->enabled()) {
+      obs::TraceEvent e;
+      e.t = clock_.now();
+      e.kind = kind;
+      e.code = code;
+      fill(e);
+      tracer->emit(e);
+    }
+  }
 
   sim::Clock& clock_;
   cloud::CloudProvider& provider_;
@@ -224,12 +237,14 @@ class CloudScheduler : private MarketWatcher::TriggerListener {
   MarketWatcher::ListenerId listener_ = MarketWatcher::kInvalidListener;
 
   State state_ = State::kAcquiring;
+  /// Next to state_: an event bumps a count and reads the state, so both
+  /// sit on nearby cache lines.
+  SchedulerCounts counters_;
   bool service_live_ = false;
   std::optional<Holding> holding_;
   sim::EventHandle planned_begin_event_;
   sim::EventHandle hour_check_event_;
   cloud::InstanceId pending_acquire_ = cloud::kInvalidInstance;
-  obs::CounterSink counters_;
   // --- fault-recovery state (reset on every adopt) ----------------------
   int acquire_attempts_ = 0;  ///< capacity-failed acquisitions this episode
   /// Markets that capacity-failed this episode; placement skips them so each

@@ -99,7 +99,22 @@ void SchedulerConfig::validate() const {
   }
 }
 
-SchedulerStats scheduler_stats_from(const obs::CounterSink& counters) {
+std::uint64_t SchedulerCounts::count(obs::EventKind kind) const noexcept {
+  std::uint64_t sum = 0;
+  for (const std::uint32_t n : counts_[static_cast<std::size_t>(kind)]) sum += n;
+  return sum;
+}
+
+std::uint64_t SchedulerCounts::count(obs::EventKind kind,
+                                     std::uint8_t code) const noexcept {
+  return code < kCodes ? counts_[static_cast<std::size_t>(kind)][code] : 0;
+}
+
+namespace {
+
+/// The one mapping from (kind, code) counts to SchedulerStats fields.
+template <typename Counts>
+SchedulerStats stats_from(const Counts& counters) {
   using obs::EventKind;
   const auto n = [](std::uint64_t v) { return static_cast<int>(v); };
   SchedulerStats s;
@@ -116,6 +131,16 @@ SchedulerStats scheduler_stats_from(const obs::CounterSink& counters) {
   s.retries = n(counters.count(EventKind::kRetryScheduled));
   s.degraded_entries = n(counters.count(EventKind::kDegradedMode));
   return s;
+}
+
+}  // namespace
+
+SchedulerStats scheduler_stats_from(const SchedulerCounts& counts) {
+  return stats_from(counts);
+}
+
+SchedulerStats scheduler_stats_from(const obs::CounterSink& counters) {
+  return stats_from(counters);
 }
 
 }  // namespace spothost::sched

@@ -8,11 +8,15 @@
 // std::invalid_argument naming the field before any run starts.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cloud/market.hpp"
+#include "obs/event.hpp"
 #include "sched/bidding.hpp"
 #include "sched/market_selection.hpp"
 #include "simcore/time.hpp"
@@ -123,8 +127,28 @@ struct SchedulerConfig {
   void validate() const;
 };
 
-/// End-of-run aggregates. Derived from the scheduler's trace-event counters
-/// (obs::CounterSink) — see scheduler_stats_from — so these numbers can
+/// Per-(kind, code) counts of the events a CloudScheduler emits, which it
+/// bumps without building the events: 32 bits each over codes 0-3, the
+/// most any of its kinds uses (kMigrationAbandon, kDegradedMode). 288 B.
+class SchedulerCounts {
+ public:
+  /// Counts one event; `code` must be below 4.
+  void add(obs::EventKind kind, std::uint8_t code) noexcept {
+    ++counts_[static_cast<std::size_t>(kind)][code];
+  }
+  /// Events of `kind`, any code.
+  [[nodiscard]] std::uint64_t count(obs::EventKind kind) const noexcept;
+  /// Events of `kind` with exactly `code`.
+  [[nodiscard]] std::uint64_t count(obs::EventKind kind,
+                                    std::uint8_t code) const noexcept;
+
+ private:
+  static constexpr std::size_t kCodes = 4;
+  std::array<std::array<std::uint32_t, kCodes>, obs::kEventKindCount> counts_{};
+};
+
+/// End-of-run aggregates. Derived from the scheduler's event counts
+/// (SchedulerCounts) — see scheduler_stats_from — so these numbers can
 /// never disagree with an attached trace sink's view of the same run.
 struct SchedulerStats {
   int forced = 0;             ///< revocation-driven migrations executed
@@ -138,7 +162,8 @@ struct SchedulerStats {
   int degraded_entries = 0;   ///< graceful-degradation fallbacks taken
 };
 
-/// Maps trace-event counters onto the classic aggregate view:
+/// Maps event counts onto the classic aggregate view, the same way for a
+/// scheduler's own counts and for an external CounterSink:
 ///   forced             = migration_begin[forced]
 ///   planned / reverse  = migration_switchover[planned / reverse]
 ///   cancelled_planned  = migration_abandon[price_recovered]
@@ -147,6 +172,7 @@ struct SchedulerStats {
 ///   od_hours_started   = billing_hour_tick
 ///   retries            = retry_scheduled
 ///   degraded_entries   = degraded_mode
+SchedulerStats scheduler_stats_from(const SchedulerCounts& counts);
 SchedulerStats scheduler_stats_from(const obs::CounterSink& counters);
 
 }  // namespace spothost::sched

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -184,6 +185,74 @@ TEST_F(ProviderTest, UnknownMarketThrows) {
 
 TEST_F(ProviderTest, UnknownInstanceThrows) {
   EXPECT_THROW((void)provider_.instance(987654), std::out_of_range);
+}
+
+TEST_F(ProviderTest, InstanceZeroAndUnissuedIdsThrow) {
+  EXPECT_THROW((void)provider_.instance(0), std::out_of_range);
+  EXPECT_THROW((void)provider_.instance(1), std::out_of_range);  // none issued yet
+  const InstanceId iid = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
+  EXPECT_EQ(provider_.instance(iid).id, iid);
+  EXPECT_THROW((void)provider_.instance(0), std::out_of_range);
+  EXPECT_THROW((void)provider_.instance(iid + 1), std::out_of_range);
+}
+
+// A caller may hold an Instance& across calls that issue more instances
+// (the migration engine passes a destination's market into adopt, which can
+// request a server), so issuing must never move an existing instance.
+TEST_F(ProviderTest, InstanceAddressIsStableAsInstancesAreAdded) {
+  const InstanceId first = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
+  const Instance* address = &provider_.instance(first);
+  for (int i = 0; i < 10000; ++i) {
+    (void)provider_.request_on_demand(kSmallEast, [](InstanceId) {});
+  }
+  EXPECT_EQ(&provider_.instance(first), address);
+  EXPECT_EQ(address->id, first);
+  EXPECT_EQ(address->market, kSmallEast);
+  EXPECT_EQ(provider_.instance(first + 10000).id, first + 10000);
+}
+
+TEST_F(ProviderTest, FinalizeBillsRunningInstancesInIdOrder) {
+  // The spot grant (240 s) lands after the on-demand ones (90 s), so grant
+  // order and id order differ; a terminated lease is billed when it ends.
+  std::vector<InstanceId> ids;
+  ids.push_back(provider_.request_spot(kSmallEast, 0.06, [](InstanceId) {},
+                                       [](AllocFailure) {}));
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(provider_.request_on_demand(kSmallEast, [](InstanceId) {}));
+  }
+  sim_.run_until(kHour);
+  provider_.terminate(ids[2]);
+  provider_.finalize(kHour);
+
+  std::vector<std::uint64_t> billed;
+  for (const auto& record : provider_.ledger().records()) {
+    billed.push_back(record.instance_id);
+  }
+  EXPECT_EQ(billed, (std::vector<std::uint64_t>{ids[2], ids[0], ids[1], ids[3]}));
+}
+
+// A revocation handler may end its own lease, which clears its slot's
+// handler while the handler is still running; it must keep its captures.
+// Invoking the stored handler in place would make the read below a
+// heap-use-after-free (ASan reports it).
+TEST_F(ProviderTest, RevocationHandlerMayTerminateItsOwnInstance) {
+  std::optional<InstanceId> iid;
+  provider_.request_spot(kSmallEast, 0.06, [&](InstanceId i) { iid = i; },
+                         [](AllocFailure) {});
+  sim_.run_until(kHour);
+  ASSERT_TRUE(iid.has_value());
+
+  auto payload = std::make_shared<std::vector<int>>(64, 7);
+  int seen = 0;
+  provider_.set_revocation_handler(
+      *iid, [this, payload = std::move(payload), &seen](InstanceId i, sim::SimTime) {
+        provider_.terminate(i);
+        seen = (*payload)[63];
+      });
+  sim_.run_until(5 * kHour);
+  EXPECT_EQ(seen, 7);
+  ASSERT_EQ(provider_.ledger().records().size(), 1u);
+  EXPECT_EQ(provider_.ledger().records().front().cause, TerminationCause::kCustomer);
 }
 
 TEST_F(ProviderTest, RegionAndMarketEnumeration) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "obs/event.hpp"
@@ -134,8 +136,10 @@ TEST(FaultInjector, InjectionEmitsTraceEvent) {
   FaultPlan plan;
   plan.at_opportunity(FaultKind::kCheckpointStall, 2);
   FaultInjector injector(sim, rng, plan);
-  EXPECT_FALSE(injector.should_inject(FaultKind::kCheckpointStall, "m", 1));
-  EXPECT_TRUE(injector.should_inject(FaultKind::kCheckpointStall, "us-east-1a/small", 7));
+  EXPECT_FALSE(injector.should_inject(
+      FaultKind::kCheckpointStall, [] { return std::string("m"); }, 1));
+  EXPECT_TRUE(injector.should_inject(
+      FaultKind::kCheckpointStall, [] { return std::string("us-east-1a/small"); }, 7));
 
   const auto events = ring.events();
   ASSERT_EQ(events.size(), 1u);
@@ -145,6 +149,66 @@ TEST(FaultInjector, InjectionEmitsTraceEvent) {
   EXPECT_EQ(events.front().instance, 7u);
   EXPECT_EQ(events.front().value, 2.0);  // the opportunity index that hit
   EXPECT_EQ(events.front().market, "us-east-1a/small");
+}
+
+// The market is named for the kFaultInjected event only: an untraced
+// opportunity, hit or miss, builds no string.
+TEST(FaultInjector, MarketNameIsBuiltOnlyForATracedHit) {
+  FaultPlan plan;
+  plan.at_opportunity(FaultKind::kAllocTimeout, 2);
+  plan.at_opportunity(FaultKind::kAllocTimeout, 5);
+  int named = 0;
+  const auto name = [&named] {
+    ++named;
+    return std::string("us-east-1a/small");
+  };
+  const auto six_opportunities = [&](obs::Tracer* tracer) {
+    sim::Simulation sim;
+    sim.set_tracer(tracer);
+    sim::RngFactory rng(42);
+    FaultInjector injector(sim, rng, plan);
+    for (int i = 0; i < 6; ++i) (void)injector.should_inject(FaultKind::kAllocTimeout, name, 3);
+    EXPECT_EQ(injector.injected(FaultKind::kAllocTimeout), 2u);
+  };
+
+  six_opportunities(nullptr);
+  EXPECT_EQ(named, 0);
+
+  obs::Tracer no_sinks;
+  six_opportunities(&no_sinks);
+  EXPECT_EQ(named, 0);
+
+  obs::Tracer tracer;
+  obs::RingBufferSink ring(16);
+  tracer.add_sink(&ring);
+  six_opportunities(&tracer);
+  EXPECT_EQ(named, 2);  // the two hits, never the four misses
+  ASSERT_EQ(ring.events().size(), 2u);
+  EXPECT_EQ(ring.events().front().market, "us-east-1a/small");
+}
+
+TEST(FaultInjector, HitSequenceIsTheSameTracedOrNot) {
+  const auto hits = [](bool traced) {
+    sim::Simulation sim;
+    obs::Tracer tracer;
+    obs::RingBufferSink ring(4);
+    tracer.add_sink(&ring);
+    if (traced) sim.set_tracer(&tracer);
+    sim::RngFactory rng(2015);
+    FaultPlan plan;
+    plan.with_rate(FaultKind::kWarningDropped, 0.3);
+    plan.with_rate(FaultKind::kWarningDelayed, 0.3);
+    FaultInjector injector(sim, rng, plan);
+    std::vector<bool> out;
+    for (int i = 0; i < 1000; ++i) {
+      const auto kind = i % 2 == 0 ? FaultKind::kWarningDropped : FaultKind::kWarningDelayed;
+      out.push_back(injector.should_inject(kind, [] { return std::string("m"); }, 1));
+    }
+    return out;
+  };
+  const auto untraced = hits(false);
+  EXPECT_EQ(untraced, hits(true));
+  EXPECT_NE(std::count(untraced.begin(), untraced.end(), true), 0);
 }
 
 TEST(FaultInjector, InvalidPlanThrowsAtConstruction) {

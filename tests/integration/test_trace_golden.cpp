@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/counter_sink.hpp"
 #include "obs/jsonl_sink.hpp"
@@ -196,6 +197,43 @@ TEST(FleetGolden, FaultedFleetRunIsByteIdentical) {
   }
   EXPECT_GE(counts.count(obs::EventKind::kRetryScheduled), 1u);
   EXPECT_GE(counts.count(obs::EventKind::kDegradedMode), 1u);
+}
+
+std::vector<int> stats_fields(const sched::SchedulerStats& s) {
+  return {s.forced,  s.planned,  s.reverse,
+          s.cancelled_planned, s.market_switches, s.spot_request_failures,
+          s.od_hours_started,  s.retries,  s.degraded_entries};
+}
+
+// An untraced scheduler counts its events on a path that builds none; a
+// traced one builds and emits them too. Both must report the same stats,
+// and an external CounterSink must reconstruct the fleet's totals.
+TEST(FaultedFleet, UntracedStatsMatchTracedStats) {
+  const auto per_scheduler_stats = [](obs::Tracer* tracer) {
+    sched::World world(faulted_scenario());
+    world.engine().set_tracer(tracer);
+    sched::FleetScheduler fleet(world.clock(), world.provider(),
+                                faulted_fleet_config(), world.rng());
+    run_fleet(world, fleet);
+    std::vector<std::vector<int>> out;
+    for (int i = 0; i < fleet.size(); ++i) {
+      out.push_back(stats_fields(fleet.scheduler(i).stats()));
+    }
+    return out;
+  };
+  obs::Tracer tracer;
+  obs::CounterSink external;
+  tracer.add_sink(&external);
+  const auto untraced = per_scheduler_stats(nullptr);
+  const auto traced = per_scheduler_stats(&tracer);
+
+  ASSERT_EQ(untraced.size(), 10u);
+  EXPECT_EQ(untraced, traced);
+  std::vector<int> totals(untraced.front().size(), 0);
+  for (const auto& fields : untraced) {
+    for (std::size_t f = 0; f < fields.size(); ++f) totals[f] += fields[f];
+  }
+  EXPECT_EQ(totals, stats_fields(sched::scheduler_stats_from(external)));
 }
 
 }  // namespace

@@ -52,6 +52,10 @@ TEST(CounterSink, StatsMappingFromCounters) {
   emit(EventKind::kMarketSwitch, code::kNone, 6);
   emit(EventKind::kSpotRequestFailed, code::kNone, 7);
   emit(EventKind::kBillingHourTick, code::kOnDemand, 8);
+  emit(EventKind::kRetryScheduled, code::kRetryAcquire, 2);
+  emit(EventKind::kRetryScheduled, code::kRetryForcedDest, 3);
+  emit(EventKind::kDegradedMode, code::kDegradeLiveToCkpt, 1);
+  emit(EventKind::kDegradedMode, code::kDegradeSlowRetry, 4);
 
   const auto stats = sched::scheduler_stats_from(counters);
   EXPECT_EQ(stats.forced, 3);
@@ -61,6 +65,8 @@ TEST(CounterSink, StatsMappingFromCounters) {
   EXPECT_EQ(stats.market_switches, 6);
   EXPECT_EQ(stats.spot_request_failures, 7);
   EXPECT_EQ(stats.od_hours_started, 8);
+  EXPECT_EQ(stats.retries, 5);
+  EXPECT_EQ(stats.degraded_entries, 5);
 }
 
 // The counter-as-backing-store guarantee, end to end: an *external*
