@@ -295,9 +295,12 @@ const CloudProvider::Slot& CloudProvider::slot(InstanceId id) const {
 }
 
 Instance& CloudProvider::issue_instance() {
-  const std::size_t i = next_instance_ - 1;
-  if (i % kChunkSlots == 0) slab_.push_back(std::make_unique<Slot[]>(kChunkSlots));
-  Instance& inst = slab_.back()[i % kChunkSlots].instance;
+  if (slab_.empty() || slab_.back().size() == kChunkSlots) {
+    std::vector<Slot> chunk;
+    chunk.reserve(kChunkSlots);
+    slab_.push_back(std::move(chunk));
+  }
+  Instance& inst = slab_.back().emplace_back().instance;
   inst.id = next_instance_++;
   return inst;
 }

@@ -150,9 +150,9 @@ class CloudProvider : private SpotMarket::PriceListener {
     Instance instance;
     RevocationHandler on_revocation;
   };
-  /// Slots per slab chunk. Chunks never move, which keeps every Instance&
-  /// valid as the slab grows; 128 keeps a chunk's allocation rare and
-  /// small next to the instances a run issues.
+  /// Slots per slab chunk. A chunk reserves its slots up front and never
+  /// grows past them, so its elements never move: every Instance& stays
+  /// valid as the slab grows. Only issued slots are constructed.
   static constexpr std::size_t kChunkSlots = 128;
 
   void adopt_market(MarketId id, std::unique_ptr<SpotMarket> market_ptr);
@@ -188,7 +188,7 @@ class CloudProvider : private SpotMarket::PriceListener {
 
   /// Every issued instance, id i in slot i - 1: a dense slab of
   /// fixed-size chunks, so a lookup is arithmetic, not a hash probe.
-  std::vector<std::unique_ptr<Slot[]>> slab_;
+  std::vector<std::vector<Slot>> slab_;
   /// Running spot instances per market as (bid, id), lowest bid first, so a
   /// price step visits only the instances it revokes — a prefix — and
   /// never the rest of the market. Revocation order is fixed by sorting the
