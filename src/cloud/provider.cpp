@@ -118,7 +118,7 @@ std::vector<std::string> CloudProvider::regions() const {
 InstanceId CloudProvider::request_on_demand(const MarketId& id, ReadyCallback on_ready,
                                             FailCallback on_fail) {
   (void)market(id);  // validate
-  Instance& inst = issue_instance();
+  Instance& inst = add_instance();
   const InstanceId iid = inst.id;
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
     auto e = provider_event(obs::EventKind::kBidPlaced, clock_.now(), id);
@@ -152,7 +152,7 @@ InstanceId CloudProvider::request_spot(const MarketId& id, double bid,
                                        ReadyCallback on_ready, FailCallback on_fail) {
   if (bid <= 0) throw std::invalid_argument("request_spot: bid must be > 0");
   (void)market(id);
-  Instance& inst = issue_instance();
+  Instance& inst = add_instance();
   const InstanceId iid = inst.id;
   inst.market = id;
   inst.mode = BillingMode::kSpot;
@@ -294,7 +294,7 @@ const CloudProvider::Slot& CloudProvider::slot(InstanceId id) const {
   return slab_[i / kChunkSlots][i % kChunkSlots];
 }
 
-Instance& CloudProvider::issue_instance() {
+Instance& CloudProvider::add_instance() {
   if (slab_.empty() || slab_.back().size() == kChunkSlots) {
     std::vector<Slot> chunk;
     chunk.reserve(kChunkSlots);

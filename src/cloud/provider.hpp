@@ -125,9 +125,9 @@ class CloudProvider : private SpotMarket::PriceListener {
   /// Customer-initiated termination (bills the final partial hour).
   void terminate(InstanceId id);
 
-  /// The instance with `id`; std::out_of_range for 0 and for ids not yet
-  /// issued. The reference stays valid for the provider's lifetime, also
-  /// while later requests add instances.
+  /// The instance with `id`; std::out_of_range for 0 and for ids no request
+  /// has returned yet. The reference stays valid for the provider's
+  /// lifetime, also while later requests add instances.
   [[nodiscard]] const Instance& instance(InstanceId id) const;
   [[nodiscard]] sim::SimTime grace_period() const noexcept { return grace_; }
 
@@ -145,14 +145,14 @@ class CloudProvider : private SpotMarket::PriceListener {
     bool delayed = false;  ///< an injected allocation timeout already fired
   };
 
-  /// One issued instance and its revocation handler (empty = none).
+  /// One instance and its revocation handler (empty = none).
   struct Slot {
     Instance instance;
     RevocationHandler on_revocation;
   };
   /// Slots per slab chunk. A chunk reserves its slots up front and never
   /// grows past them, so its elements never move: every Instance& stays
-  /// valid as the slab grows. Only issued slots are constructed.
+  /// valid as the slab grows. A slot is constructed when its id is assigned.
   static constexpr std::size_t kChunkSlots = 128;
 
   void adopt_market(MarketId id, std::unique_ptr<SpotMarket> market_ptr);
@@ -164,9 +164,9 @@ class CloudProvider : private SpotMarket::PriceListener {
   void on_price_change(const MarketId& id, double new_price);
   void complete_grant(InstanceId id);
   void complete_lease(Instance& inst, TerminationCause cause, sim::SimTime end);
-  /// Issues the next id and returns its slot's instance, id set.
-  Instance& issue_instance();
-  /// The slot of an issued id; std::out_of_range otherwise.
+  /// Assigns the next id and returns its slot's instance, id set.
+  Instance& add_instance();
+  /// The slot of an assigned id; std::out_of_range otherwise.
   [[nodiscard]] const Slot& slot(InstanceId id) const;
   Slot& slot(InstanceId id) {
     return const_cast<Slot&>(std::as_const(*this).slot(id));
@@ -186,7 +186,7 @@ class CloudProvider : private SpotMarket::PriceListener {
   std::unordered_map<std::string, AllocationLatency> latency_by_region_;
   mutable std::unordered_map<std::string, std::unique_ptr<sim::RngStream>> latency_rng_;
 
-  /// Every issued instance, id i in slot i - 1: a dense slab of
+  /// Every instance, id i in slot i - 1: a dense slab of
   /// fixed-size chunks, so a lookup is arithmetic, not a hash probe.
   std::vector<std::vector<Slot>> slab_;
   /// Running spot instances per market as (bid, id), lowest bid first, so a

@@ -193,16 +193,16 @@ TEST_F(ProviderTest, UnknownMarketThrows) {
 
 TEST_F(ProviderTest, UnknownInstanceThrows) {
   EXPECT_THROW((void)provider_.instance(0), std::out_of_range);
-  EXPECT_THROW((void)provider_.instance(1), std::out_of_range);  // none issued yet
+  EXPECT_THROW((void)provider_.instance(1), std::out_of_range);  // none assigned yet
   EXPECT_THROW((void)provider_.instance(987654), std::out_of_range);
   const InstanceId iid = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
   EXPECT_EQ(provider_.instance(iid).id, iid);
   EXPECT_THROW((void)provider_.instance(iid + 1), std::out_of_range);
 }
 
-// A caller may hold an Instance& across calls that issue more instances
+// A caller may hold an Instance& across calls that add more instances
 // (the migration engine passes a destination's market into adopt, which can
-// request a server), so issuing must never move an existing instance.
+// request a server), so adding one must never move an existing instance.
 TEST_F(ProviderTest, InstanceAddressIsStableAsInstancesAreAdded) {
   const InstanceId first = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
   const Instance* address = &provider_.instance(first);
