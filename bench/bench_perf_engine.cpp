@@ -1,7 +1,7 @@
 // Engine performance microbenchmarks (google-benchmark): event-queue
 // throughput, synthetic trace generation and memoization, complete hosting
-// runs, a storm fleet-month with and without a trace sink, and the serve
-// feed reader.
+// runs, a price-replay month, a storm fleet-month with and without a trace
+// sink, and the serve feed reader.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -128,6 +128,33 @@ void BM_FullHostingMonth(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullHostingMonth);
+
+// The price-step path alone: a World over the 16 canonical markets with no
+// scheduler replays one 30-day month, so every dispatched event is a price
+// step — a queue hop, SpotMarket::dispatch and the provider's revocation
+// scan, the chain that carries 99 % of the paper sweep's events. "items/s"
+// is events dispatched per second of run_until. Traces are generated once
+// (TraceCache); World construction and teardown are not timed.
+void BM_PriceReplayMonth(benchmark::State& state) {
+  sched::Scenario scenario;
+  scenario.seed = metrics::run_seed(20150615, 0);
+  scenario.horizon = 30 * sim::kDay;
+  sched::TraceCache cache;
+  const auto traces = cache.get(scenario);
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto world = std::make_unique<sched::World>(scenario, traces);
+    state.ResumeTiming();
+    world->engine().run_until(world->horizon());
+    state.PauseTiming();
+    events += static_cast<std::int64_t>(world->engine().dispatched());
+    world.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_PriceReplayMonth)->Unit(benchmark::kMillisecond);
 
 // What tracing costs, and what it costs when off: one 1,000-service storm
 // fleet-month (perfbench fleet_storm's us-east markets and homes, every

@@ -1,6 +1,7 @@
 // Market identity and the price feed for one (region, size) spot market.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -75,6 +76,11 @@ class SpotMarket {
   SpotMarket(sim::Clock& clock, MarketId id, double on_demand_price_per_hour);
 
   [[nodiscard]] const MarketId& id() const noexcept { return id_; }
+  /// Dense position in the owning CloudProvider's all_markets() order,
+  /// assigned when the provider adopts the market (0 for a market built
+  /// outside a provider). The price-step path keys per-market tables on it,
+  /// so a step never hashes the MarketId.
+  [[nodiscard]] std::size_t index() const noexcept { return index_; }
   [[nodiscard]] double on_demand_price() const noexcept { return on_demand_price_; }
 
   /// True if this market is push-fed (no pre-loaded trace).
@@ -132,10 +138,13 @@ class SpotMarket {
   void push_price(double price);
 
  private:
+  friend class CloudProvider;  // assigns index_ at adoption
+
   void schedule_next(sim::SimTime after_time);
 
   sim::Clock& clock_;
   MarketId id_;
+  std::size_t index_ = 0;
   // Trace mode: the replayed trace. Push mode: committed prices so far.
   trace::PriceTrace trace_;
   // This market's read position in its trace. A SpotMarket lives inside one

@@ -32,27 +32,35 @@ CloudProvider::CloudProvider(sim::Clock& clock,
 void CloudProvider::add_market(MarketId id, trace::PriceTrace price_trace,
                                double od_price) {
   if (started_) throw std::logic_error("CloudProvider: add_market after start");
-  if (markets_.contains(id)) {
+  if (has_market(id)) {
     throw std::invalid_argument("CloudProvider: duplicate market " + id.str());
   }
-  auto market_ptr = std::make_unique<SpotMarket>(clock_, id,
-                                                 std::move(price_trace), od_price);
-  adopt_market(std::move(id), std::move(market_ptr));
+  adopt_market(std::make_unique<SpotMarket>(clock_, std::move(id),
+                                            std::move(price_trace), od_price));
 }
 
 void CloudProvider::add_live_market(MarketId id, double od_price) {
   if (started_) throw std::logic_error("CloudProvider: add_live_market after start");
-  if (markets_.contains(id)) {
+  if (has_market(id)) {
     throw std::invalid_argument("CloudProvider: duplicate market " + id.str());
   }
-  auto market_ptr = std::make_unique<SpotMarket>(clock_, id, od_price);
-  adopt_market(std::move(id), std::move(market_ptr));
+  adopt_market(std::make_unique<SpotMarket>(clock_, std::move(id), od_price));
 }
 
-void CloudProvider::adopt_market(MarketId id, std::unique_ptr<SpotMarket> market_ptr) {
+void CloudProvider::adopt_market(std::unique_ptr<SpotMarket> market_ptr) {
+  market_ptr->index_ = markets_.size();
   market_ptr->subscribe(static_cast<SpotMarket::PriceListener*>(this));
-  markets_.emplace(id, std::move(market_ptr));
-  market_order_.push_back(std::move(id));
+  index_by_id_.emplace(market_ptr->id(), market_ptr->index_);
+  markets_.push_back(std::move(market_ptr));
+  running_spot_.emplace_back();
+}
+
+std::size_t CloudProvider::index_of(const MarketId& id) const {
+  const auto it = index_by_id_.find(id);
+  if (it == index_by_id_.end()) {
+    throw std::out_of_range("CloudProvider: unknown market " + id.str());
+  }
+  return it->second;
 }
 
 void CloudProvider::set_allocation_latency(const std::string& region,
@@ -68,48 +76,41 @@ AllocationLatency CloudProvider::allocation_latency(const std::string& region) c
 void CloudProvider::start() {
   if (started_) throw std::logic_error("CloudProvider::start called twice");
   started_ = true;
-  for (const auto& id : market_order_) {
-    markets_.at(id)->start();
-  }
+  for (const auto& m : markets_) m->start();
 }
 
 SpotMarket& CloudProvider::market(const MarketId& id) {
-  const auto it = markets_.find(id);
-  if (it == markets_.end()) {
-    throw std::out_of_range("CloudProvider: unknown market " + id.str());
-  }
-  return *it->second;
+  return *markets_[index_of(id)];
 }
 
 const SpotMarket& CloudProvider::market(const MarketId& id) const {
-  const auto it = markets_.find(id);
-  if (it == markets_.end()) {
-    throw std::out_of_range("CloudProvider: unknown market " + id.str());
-  }
-  return *it->second;
+  return *markets_[index_of(id)];
 }
 
 bool CloudProvider::has_market(const MarketId& id) const {
-  return markets_.contains(id);
+  return index_by_id_.contains(id);
 }
 
 std::vector<MarketId> CloudProvider::all_markets() const {
-  return market_order_;
+  std::vector<MarketId> out;
+  out.reserve(markets_.size());
+  for (const auto& m : markets_) out.push_back(m->id());
+  return out;
 }
 
 std::vector<MarketId> CloudProvider::markets_in_region(const std::string& region) const {
   std::vector<MarketId> out;
-  for (const auto& id : market_order_) {
-    if (id.region == region) out.push_back(id);
+  for (const auto& m : markets_) {
+    if (m->id().region == region) out.push_back(m->id());
   }
   return out;
 }
 
 std::vector<std::string> CloudProvider::regions() const {
   std::vector<std::string> out;
-  for (const auto& id : market_order_) {
-    if (std::find(out.begin(), out.end(), id.region) == out.end()) {
-      out.push_back(id.region);
+  for (const auto& m : markets_) {
+    if (std::find(out.begin(), out.end(), m->id().region) == out.end()) {
+      out.push_back(m->id().region);
     }
   }
   return out;
@@ -117,17 +118,18 @@ std::vector<std::string> CloudProvider::regions() const {
 
 InstanceId CloudProvider::request_on_demand(const MarketId& id, ReadyCallback on_ready,
                                             FailCallback on_fail) {
-  (void)market(id);  // validate
+  const std::size_t index = index_of(id);  // validates
   Instance& inst = add_instance();
   const InstanceId iid = inst.id;
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
     auto e = provider_event(obs::EventKind::kBidPlaced, clock_.now(), id);
     e.code = obs::code::kOnDemand;
     e.instance = iid;
-    e.value = od_price(id);
+    e.value = markets_[index]->on_demand_price();
     tracer->emit(e);
   }
   inst.market = id;
+  inst.market_index = index;
   inst.mode = BillingMode::kOnDemand;
   inst.requested_at = clock_.now();
 
@@ -151,10 +153,11 @@ InstanceId CloudProvider::request_on_demand(const MarketId& id, ReadyCallback on
 InstanceId CloudProvider::request_spot(const MarketId& id, double bid,
                                        ReadyCallback on_ready, FailCallback on_fail) {
   if (bid <= 0) throw std::invalid_argument("request_spot: bid must be > 0");
-  (void)market(id);
+  const std::size_t index = index_of(id);  // validates
   Instance& inst = add_instance();
   const InstanceId iid = inst.id;
   inst.market = id;
+  inst.market_index = index;
   inst.mode = BillingMode::kSpot;
   inst.bid = bid;
   inst.requested_at = clock_.now();
@@ -163,7 +166,7 @@ InstanceId CloudProvider::request_spot(const MarketId& id, double bid,
     e.code = obs::code::kSpot;
     e.instance = iid;
     e.value = bid;
-    e.aux = price(id);
+    e.aux = markets_[index]->price();
     tracer->emit(e);
   }
 
@@ -219,8 +222,9 @@ void CloudProvider::complete_grant(InstanceId iid) {
     return;
   }
 
+  const SpotMarket& market = *markets_[inst.market_index];
   if (inst.mode == BillingMode::kSpot) {
-    const double current = price(inst.market);
+    const double current = market.price();
     if (current > inst.bid) {
       inst.state = InstanceState::kTerminated;
       SPOTHOST_LOG(sim::LogLevel::kDebug, clock_.now(),
@@ -233,7 +237,7 @@ void CloudProvider::complete_grant(InstanceId iid) {
   inst.state = InstanceState::kRunning;
   inst.launch = clock_.now();
   if (inst.mode == BillingMode::kSpot) {
-    running_spot_[inst.market].emplace(inst.bid, iid);
+    running_spot_[inst.market_index].emplace(inst.bid, iid);
   }
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
     auto e = provider_event(obs::EventKind::kAcquisition, clock_.now(),
@@ -241,11 +245,11 @@ void CloudProvider::complete_grant(InstanceId iid) {
     e.instance = iid;
     if (inst.mode == BillingMode::kSpot) {
       e.code = obs::code::kSpot;
-      e.value = price(inst.market);
+      e.value = market.price();
       e.aux = inst.bid;
     } else {
       e.code = obs::code::kOnDemand;
-      e.value = od_price(inst.market);
+      e.value = market.on_demand_price();
     }
     tracer->emit(e);
   }
@@ -305,7 +309,8 @@ Instance& CloudProvider::add_instance() {
   return inst;
 }
 
-void CloudProvider::on_price_change(const MarketId& id, double new_price) {
+void CloudProvider::on_price_change(const SpotMarket& market, double new_price) {
+  const MarketId& id = market.id();
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
     auto e = provider_event(obs::EventKind::kPriceChange, clock_.now(), id);
     e.value = new_price;
@@ -315,11 +320,9 @@ void CloudProvider::on_price_change(const MarketId& id, double new_price) {
   // market's running spot index, so a step costs the instances it revokes,
   // not the market's size. Snapshot the ids: handlers may mutate state.
   std::vector<InstanceId> to_warn;
-  if (const auto rit = running_spot_.find(id); rit != running_spot_.end()) {
-    for (auto it = rit->second.begin(); it != rit->second.end() && it->first < new_price;
-         ++it) {
-      to_warn.push_back(it->second);
-    }
+  const auto& running = running_spot_[market.index()];
+  for (auto it = running.begin(); it != running.end() && it->first < new_price; ++it) {
+    to_warn.push_back(it->second);
   }
   std::sort(to_warn.begin(), to_warn.end());  // deterministic order
   for (const InstanceId iid : to_warn) {
@@ -385,8 +388,7 @@ void CloudProvider::on_price_change(const MarketId& id, double new_price) {
 }
 
 void CloudProvider::drop_running_spot(const Instance& inst) {
-  const auto rit = running_spot_.find(inst.market);
-  if (rit != running_spot_.end()) rit->second.erase({inst.bid, inst.id});
+  running_spot_[inst.market_index].erase({inst.bid, inst.id});
 }
 
 void CloudProvider::complete_lease(Instance& inst, TerminationCause cause,
@@ -402,11 +404,11 @@ void CloudProvider::complete_lease(Instance& inst, TerminationCause cause,
   record.end = end;
   record.cause = cause;
   record.owner = inst.owner;
+  SpotMarket& market = *markets_[inst.market_index];
   if (inst.mode == BillingMode::kOnDemand) {
-    record.cost = on_demand_cost(od_price(inst.market), inst.launch, end);
+    record.cost = on_demand_cost(market.on_demand_price(), inst.launch, end);
   } else {
-    record.cost =
-        spot_cost(market(inst.market).billable_trace(end), inst.launch, end, cause);
+    record.cost = spot_cost(market.billable_trace(end), inst.launch, end, cause);
   }
   inst.state = InstanceState::kTerminated;
   slot(inst.id).on_revocation = nullptr;

@@ -49,6 +49,10 @@ struct AllocationLatency {
 struct Instance {
   InstanceId id = kInvalidInstance;
   MarketId market;
+  /// market's SpotMarket::index(), recorded at request: the provider's own
+  /// per-instance paths (grant, revocation index, billing) find the market
+  /// by it rather than by name.
+  std::size_t market_index = 0;
   BillingMode mode = BillingMode::kOnDemand;
   double bid = 0.0;  ///< spot only
   InstanceState state = InstanceState::kPending;
@@ -155,13 +159,15 @@ class CloudProvider : private SpotMarket::PriceListener {
   /// valid as the slab grows. A slot is constructed when its id is assigned.
   static constexpr std::size_t kChunkSlots = 128;
 
-  void adopt_market(MarketId id, std::unique_ptr<SpotMarket> market_ptr);
+  void adopt_market(std::unique_ptr<SpotMarket> market_ptr);
+  /// The index of a registered market; std::out_of_range otherwise.
+  [[nodiscard]] std::size_t index_of(const MarketId& id) const;
   /// SpotMarket::PriceListener — one virtual hop per price step, replacing a
   /// per-market std::function that captured the MarketId by value.
   void on_price(const SpotMarket& market, double new_price) override {
-    on_price_change(market.id(), new_price);
+    on_price_change(market, new_price);
   }
-  void on_price_change(const MarketId& id, double new_price);
+  void on_price_change(const SpotMarket& market, double new_price);
   void complete_grant(InstanceId id);
   void complete_lease(Instance& inst, TerminationCause cause, sim::SimTime end);
   /// Assigns the next id and returns its slot's instance, id set.
@@ -181,20 +187,21 @@ class CloudProvider : private SpotMarket::PriceListener {
   sim::SimTime grace_;
   bool started_ = false;
 
-  std::unordered_map<MarketId, std::unique_ptr<SpotMarket>, MarketIdHash> markets_;
-  std::vector<MarketId> market_order_;  // deterministic iteration order
+  /// Markets in registration order; a market's position is its index().
+  std::vector<std::unique_ptr<SpotMarket>> markets_;
+  /// The name lookup behind market(const MarketId&) and the requests.
+  std::unordered_map<MarketId, std::size_t, MarketIdHash> index_by_id_;
   std::unordered_map<std::string, AllocationLatency> latency_by_region_;
   mutable std::unordered_map<std::string, std::unique_ptr<sim::RngStream>> latency_rng_;
 
   /// Every instance, id i in slot i - 1: a dense slab of
   /// fixed-size chunks, so a lookup is arithmetic, not a hash probe.
   std::vector<std::vector<Slot>> slab_;
-  /// Running spot instances per market as (bid, id), lowest bid first, so a
-  /// price step visits only the instances it revokes — a prefix — and
-  /// never the rest of the market. Revocation order is fixed by sorting the
-  /// affected ids.
-  std::unordered_map<MarketId, std::set<std::pair<double, InstanceId>>, MarketIdHash>
-      running_spot_;
+  /// Running spot instances per market index as (bid, id), lowest bid
+  /// first, so a price step visits only the instances it revokes — a
+  /// prefix — and never the rest of the market. Revocation order is fixed
+  /// by sorting the affected ids.
+  std::vector<std::set<std::pair<double, InstanceId>>> running_spot_;
   std::unordered_map<InstanceId, Pending> pending_;
   InstanceId next_instance_ = 1;
   BillingLedger ledger_;

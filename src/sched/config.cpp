@@ -62,7 +62,8 @@ World::World(Scenario scenario, std::shared_ptr<const MarketTraceSet> traces)
     provider_->set_allocation_latency(region, table1_allocation_latency(region));
   }
   // Entries are in the provider's canonical registration order (region order
-  // x size order), so market_order_ is the same for a memoized set.
+  // x size order), so all_markets() — and so each market's index() — is the
+  // same for a memoized set.
   for (const auto& entry : traces_->markets()) {
     provider_->add_market(entry.id, entry.prices, entry.on_demand);
   }

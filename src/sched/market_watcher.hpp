@@ -17,12 +17,13 @@
 // Price fan-out is band-routed. Each listener tells the watcher, per
 // market, the price band in which a price step is a no-op for it
 // (TriggerListener::price_band). A market's interest list is a dense column
-// of {band, id} entries in watch order; one price step is one pass over
-// that column that calls only the listeners whose band excludes the price
-// they would read. The paper's policies are threshold rules, so nearly
-// every listener sits inside its band on nearly every step, and a step
-// costs one comparison per listener plus two devirtualizable virtual calls
-// per *woken* listener (the provider feed arrives through
+// of {band, id} entries in watch order, found by the market's
+// SpotMarket::index() (a step hashes no MarketId); one price step is one
+// pass over that column that calls only the listeners whose band excludes
+// the price they would read. The paper's policies are threshold rules, so
+// nearly every listener sits inside its band on nearly every step, and a
+// step costs one comparison per listener plus two devirtualizable virtual
+// calls per *woken* listener (the provider feed arrives through
 // SpotMarket::PriceListener and leaves through TriggerListener).
 //
 // The watcher re-derives a listener's bands after every price step it
@@ -33,16 +34,17 @@
 //
 // Listeners live in a dense vector indexed by ListenerId (ids are never
 // reused); removal nulls the slot and dispatch skips it. Dispatch iterates
-// by index with the list length captured up front, so listeners may
-// register and watch() reentrantly mid-dispatch. Listeners within one
-// market fire in watch order; identical registrations yield identical
-// dispatch order, every run.
+// by index with the list length captured up front and re-finds the column
+// by market index for every entry, so listeners may register and watch()
+// reentrantly mid-dispatch — including a first watch of a market with a
+// higher index, which grows (and may move) the table of columns. Listeners
+// within one market fire in watch order; identical registrations yield
+// identical dispatch order, every run.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cloud/provider.hpp"
@@ -158,7 +160,7 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// Provider-side price-feed subscriptions this watcher holds — bounded by
   /// the market count, never by the listener count.
   [[nodiscard]] std::size_t provider_subscriptions() const noexcept {
-    return interest_.size();
+    return subscriptions_;
   }
   /// Live (registered, not yet removed) listeners.
   [[nodiscard]] std::size_t listener_count() const noexcept {
@@ -178,15 +180,16 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
     PriceBand band;
     ListenerId id = kInvalidListener;
   };
-  /// One watched market: its feed and its listeners in watch order. Keeps
-  /// the entries of removed listeners; dispatch skips them.
+  /// One market's feed and its listeners in watch order; `market` is null
+  /// until the market is first watched. Keeps the entries of removed
+  /// listeners; dispatch skips them.
   struct Interest {
     const cloud::SpotMarket* market = nullptr;
     std::vector<Entry> entries;
   };
   /// Where a listener sits in one market's column.
   struct Watch {
-    Interest* interest = nullptr;
+    std::size_t market = 0;  ///< the market's index into interest_
     std::size_t slot = 0;
   };
   struct Listener {
@@ -209,9 +212,11 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// null slot (ids are never reused, so no generation counter is needed).
   std::vector<Listener> listeners_;
   std::size_t live_listeners_ = 0;
-  /// Per-market interest columns. Node-based, so the Watch pointers into
-  /// it stay valid as markets are added.
-  std::unordered_map<cloud::MarketId, Interest, cloud::MarketIdHash> interest_;
+  /// Interest columns indexed by SpotMarket::index(), grown on the first
+  /// watch of a market. Growth may move the columns, so nothing holds a
+  /// reference to one across a call that can reach watch().
+  std::vector<Interest> interest_;
+  std::size_t subscriptions_ = 0;
   std::uint64_t price_deliveries_ = 0;
   /// The test oracle: deliver every price step to every listener, checking
   /// each stored band against a fresh one first. Set only by tests.

@@ -11,6 +11,10 @@
 //     fails the generation check.
 //   * a dispatch path that *moves* the callback out of storage (take()) —
 //     sim::Callback is move-only, so copies are impossible by construction.
+//     allocate() takes the callback by rvalue reference and take() hands
+//     out an rvalue reference, so from the engine's at() to the dispatch
+//     loop's Fired record a callback is relocated exactly twice: into its
+//     slot, and out of it.
 //
 // The record is deliberately array-of-structures: time, sequence,
 // generation, a backend scratch byte, and the callback sit in ONE record
@@ -49,10 +53,11 @@ class EventArena {
     std::uint32_t slot;
   };
 
-  /// Stores an event and returns its id and slot. The slot stays stable
-  /// until release(). The backend scratch byte (loc) is NOT reset — the
-  /// owning backend writes it when it files the slot.
-  Alloc allocate(SimTime when, Callback cb) {
+  /// Stores an event and returns its id and slot; `cb` is moved into the
+  /// slot. The slot stays stable until release(). The backend scratch byte
+  /// (loc) is NOT reset — the owning backend writes it when it files the
+  /// slot.
+  Alloc allocate(SimTime when, Callback&& cb) {
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -80,9 +85,10 @@ class EventArena {
     return slot;
   }
 
-  /// Moves the callback out of a live slot (dispatch path). The slot still
-  /// counts as live until release().
-  [[nodiscard]] Callback take(std::uint32_t slot) {
+  /// The callback of a live slot as an rvalue, for the dispatch path to
+  /// move straight into its Fired record (one relocation, no temporary).
+  /// The slot still counts as live until release().
+  [[nodiscard]] Callback&& take(std::uint32_t slot) {
     return std::move(slots_[slot].cb);
   }
 

@@ -37,10 +37,11 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
   virtual ~EventQueue() = default;
 
-  /// Enqueues `cb` to fire at absolute time `when`. Returns a cancellation
-  /// id. Implementations may require monotone scheduling (when >= the time
-  /// of the last pop); the Simulation's now() guard guarantees it.
-  virtual EventId schedule(SimTime when, Callback cb) = 0;
+  /// Enqueues `cb` to fire at absolute time `when`, moving it into the
+  /// queue's storage. Returns a cancellation id. Implementations may
+  /// require monotone scheduling (when >= the time of the last pop); the
+  /// Simulation's now() guard guarantees it.
+  virtual EventId schedule(SimTime when, Callback&& cb) = 0;
 
   /// Cancels a pending event. Returns false if the event already fired,
   /// was already cancelled, or never existed.

@@ -54,7 +54,7 @@ void TimingWheelQueue::file(const Entry& entry) {
   occupied_[static_cast<std::size_t>(level)] |= std::uint64_t{1} << ws;
 }
 
-EventId TimingWheelQueue::schedule(SimTime when, Callback cb) {
+EventId TimingWheelQueue::schedule(SimTime when, Callback&& cb) {
   if (when < floor_) {
     throw std::invalid_argument(
         "TimingWheelQueue::schedule: time precedes the latest pop");
@@ -87,7 +87,7 @@ bool TimingWheelQueue::cancel(EventId id) {
       pre_.erase(std::make_pair(arena_.when(slot), arena_.seq(slot)));
       break;
     default:
-      // Wheel or drain record: cancelled lazily. The generation bump below
+      // Wheel record: cancelled lazily. The generation bump below
       // invalidates the record's id, and the bucket drops it when drained.
       break;
   }
@@ -107,13 +107,12 @@ void TimingWheelQueue::advance_and_drain() {
         cur_ = static_cast<SimTime>(
             (static_cast<std::uint64_t>(cur_) & ~std::uint64_t{kSlots - 1}) |
             static_cast<std::uint64_t>(ws));
-        // Swap the whole bucket out: one batch per simulated millisecond,
-        // and the drain buffer's capacity goes back to the bucket.
-        drain_.swap(buckets_[0][static_cast<std::size_t>(ws)]);
-        occupied_[0] &= ~(std::uint64_t{1} << ws);
-        // Bucket order mixes direct schedules with cascade arrivals; sort
-        // by global sequence to restore exact FIFO among this millisecond.
-        std::sort(drain_.begin(), drain_.end(),
+        // The bucket becomes the batch, drained where it lies; its bit
+        // stays set until ready() has consumed it. Bucket order mixes
+        // direct schedules with cascade arrivals; sort by global sequence
+        // to restore exact FIFO among this millisecond.
+        std::vector<Entry>& current = batch();
+        std::sort(current.begin(), current.end(),
                   [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
         return;
       }
@@ -132,21 +131,21 @@ void TimingWheelQueue::advance_and_drain() {
                                  (~std::uint64_t{0} << (cs + 1));
       if (due == 0) continue;
       const int ws = std::countr_zero(due);
-      // Jump the clock to the bucket's start (digits below the level
-      // zeroed) and stream its records down; every one re-places at a
-      // strictly lower level. No arena access: the records carry their
-      // times. Dead (lazily cancelled) records ride along and are dropped
+      // Every lower level is empty and every other bucket is later, so
+      // jump the clock to this bucket's earliest record and stream the
+      // bucket down in place: that record re-places in level 0 and every
+      // other one at a strictly lower level, never back into this bucket.
+      // No arena access: the records carry their times. Dead (lazily
+      // cancelled) records ride along, may set the clock, and are dropped
       // when their millisecond drains.
-      const std::uint64_t below =
-          (std::uint64_t{1} << ((level + 1) * kLevelBits)) - 1;
-      cur_ = static_cast<SimTime>(
-          (static_cast<std::uint64_t>(cur_) & ~below) |
-          (static_cast<std::uint64_t>(ws) << (level * kLevelBits)));
-      scratch_.swap(
-          buckets_[static_cast<std::size_t>(level)][static_cast<std::size_t>(ws)]);
+      std::vector<Entry>& bucket =
+          buckets_[static_cast<std::size_t>(level)][static_cast<std::size_t>(ws)];
       occupied_[static_cast<std::size_t>(level)] &= ~(std::uint64_t{1} << ws);
-      for (const Entry& entry : scratch_) file(entry);
-      shed(scratch_);
+      SimTime earliest = bucket.front().when;
+      for (const Entry& entry : bucket) earliest = std::min(earliest, entry.when);
+      cur_ = earliest;
+      for (const Entry& entry : bucket) file(entry);
+      shed(bucket);
       cascaded = true;
       break;
     }
@@ -168,12 +167,16 @@ void TimingWheelQueue::advance_and_drain() {
 
 std::uint32_t TimingWheelQueue::ready() {
   for (;;) {
-    while (drain_pos_ < drain_.size()) {
-      const std::uint32_t slot = arena_.slot_if_live(drain_[drain_pos_].id);
+    // By index: a callback scheduling at cur_ may grow the batch.
+    std::vector<Entry>& current = batch();
+    while (drain_pos_ < current.size()) {
+      const std::uint32_t slot = arena_.slot_if_live(current[drain_pos_].id);
       if (slot != kNoSlot) return slot;
       ++drain_pos_;  // cancelled while pending
     }
-    shed(drain_);
+    shed(current);
+    occupied_[0] &= ~(std::uint64_t{1} << (static_cast<std::uint64_t>(cur_) &
+                                           (kSlots - 1)));
     drain_pos_ = 0;
     assert(arena_.live() > pre_.size());
     advance_and_drain();
@@ -232,9 +235,7 @@ void TimingWheelQueue::clear() {
   }
   overflow_.clear();
   pre_.clear();
-  shed(drain_);
   drain_pos_ = 0;
-  shed(scratch_);
   cur_ = 0;
   floor_ = 0;
 }

@@ -10,13 +10,22 @@
 //
 // Placement uses the classic XOR rule: an event at time `when` lives at
 // level = position of the highest bit where `when` differs from the wheel's
-// current time, slot = `when`'s 6-bit digit at that level. Advancing the
-// clock to a higher-level slot cascades its bucket down (each entry
-// re-places at a strictly lower level), so by the time a millisecond is due,
-// all its events sit in one level-0 bucket. That bucket is drained as a
-// batch sorted by global schedule sequence — restoring exact (time, FIFO)
-// order, the determinism contract the test-only heap oracle checks it
-// against (see event_queue.hpp).
+// current time, slot = `when`'s 6-bit digit at that level. Every record is
+// at or after the current time, so whenever the scan reaches a due bucket
+// above level 0, every lower level is empty and every other bucket holds
+// later records. Advancing therefore moves the clock to the earliest `when`
+// in that bucket — not to the bucket's start — and re-files its records
+// relative to it: the earliest lands straight in level 0 and the rest at
+// strictly lower levels than the bucket's. A lone event scheduled minutes ahead
+// (a price step) is filed twice, at schedule and at its one cascade, instead
+// of once per level it would otherwise step down through. When a
+// millisecond is due, all its events sit in one level-0 bucket, which is
+// sorted by global schedule sequence and drained where it lies — restoring
+// exact (time, FIFO) order, the determinism contract the test-only heap
+// oracle checks it against (see event_queue.hpp). A callback that schedules
+// at its own millisecond appends to that same bucket; its sequence is the
+// largest yet, so the batch stays sorted and the new event fires after the
+// rest of it.
 //
 // Buckets are contiguous vectors of small {when, seq, id} records rather
 // than linked lists: a cascade streams one vector into a handful of others
@@ -25,8 +34,10 @@
 // cancellation on the wheel path — cancel() frees the arena slot (O(1),
 // invalidating the id via its generation) and leaves the bucket record
 // behind; dead records are dropped when their bucket is drained, and they
-// ride cascades at most kLevels-1 times before that. Far-future (overflow)
-// and behind-the-frontier (pre) events stay in sorted maps with eager erase.
+// ride cascades at most kLevels-1 times before that (a dead record can still
+// set the clock when it is a cascaded bucket's earliest; that is harmless,
+// since no live record is earlier). Far-future (overflow) and
+// behind-the-frontier (pre) events stay in sorted maps with eager erase.
 //
 // Costs: schedule, cancel, and pop are O(1) amortised (occupancy bitmaps
 // make the next-slot scan two bit instructions per level; each event
@@ -63,7 +74,7 @@ class TimingWheelQueue final : public EventQueue {
 
   TimingWheelQueue() = default;
 
-  EventId schedule(SimTime when, Callback cb) override;
+  EventId schedule(SimTime when, Callback&& cb) override;
   bool cancel(EventId id) override;
   [[nodiscard]] bool empty() const override { return arena_.live() == 0; }
   [[nodiscard]] std::size_t size() const override { return arena_.live(); }
@@ -87,7 +98,7 @@ class TimingWheelQueue final : public EventQueue {
 
  private:
   // Values of the arena's per-slot loc field (backend scratch byte). Wheel
-  // and drain records are cancelled lazily, so they share one value; the
+  // records are cancelled lazily, the batch being drained included; the
   // sorted maps erase eagerly and need to be told apart.
   enum Loc : std::uint8_t {
     kLocWheel = 0,
@@ -114,12 +125,17 @@ class TimingWheelQueue final : public EventQueue {
   // Finds (level, wheel slot) for a pending time relative to cur_.
   [[nodiscard]] std::pair<int, int> place(SimTime when) const;
   // Advances cur_ (cascading higher-level buckets, pulling overflow when
-  // the wheel is empty) until one level-0 bucket is due, then swaps it into
-  // drain_ sorted by schedule sequence. Precondition: the wheel or the
-  // overflow bucket holds at least one live event.
+  // the wheel is empty) until one level-0 bucket is due, then sorts that
+  // bucket by schedule sequence; it becomes the batch. Precondition: the
+  // wheel or the overflow bucket holds at least one live event.
   void advance_and_drain();
+  // The level-0 bucket of cur_'s millisecond: the batch being drained.
+  [[nodiscard]] std::vector<Entry>& batch() {
+    return buckets_[0][static_cast<std::size_t>(
+        static_cast<std::uint64_t>(cur_) & (kSlots - 1))];
+  }
   // Returns the arena slot of the earliest live wheel event, leaving its
-  // record at drain_[drain_pos_]. Same precondition as advance_and_drain.
+  // record at batch()[drain_pos_]. Same precondition as advance_and_drain.
   [[nodiscard]] std::uint32_t ready();
 
   EventArena arena_;
@@ -139,14 +155,10 @@ class TimingWheelQueue final : public EventQueue {
   // below the frontier — so this stays tiny; ordered by (time, seq) and
   // merged with the wheel at pop for exact global FIFO.
   std::map<std::pair<SimTime, std::uint64_t>, EventId> pre_;
-  // The level-0 bucket currently being dispatched (swapped out wholesale,
-  // so batch capacity circulates between the buckets and this buffer),
-  // sorted by sequence. Records whose event was cancelled while pending
-  // fail the generation check and are skipped.
-  std::vector<Entry> drain_;
+  // Position of the next record in batch(), which is sorted by sequence
+  // from here on. Records whose event was cancelled while pending fail the
+  // generation check and are skipped.
   std::size_t drain_pos_ = 0;
-  // Cascade redistribution buffer (member so its capacity is reused).
-  std::vector<Entry> scratch_;
 };
 
 }  // namespace spothost::sim

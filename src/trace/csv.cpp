@@ -36,14 +36,19 @@ void save_csv_file(const PriceTrace& trace, const std::string& path) {
 PriceTrace load_csv(std::istream& in) {
   std::string line;
   std::size_t line_no = 0;
-  if (!std::getline(in, line)) fail(1, "empty input");
-  ++line_no;
+  // A CRLF file reads like its LF twin: each line loses one trailing '\r'.
+  const auto next_line = [&] {
+    if (!std::getline(in, line)) return false;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    ++line_no;
+    return true;
+  };
+  if (!next_line()) fail(1, "empty input");
   if (line != "time_ms,price_per_hour") fail(line_no, "bad header: " + line);
 
   PriceTrace trace;
   bool saw_end = false;
-  while (std::getline(in, line)) {
-    ++line_no;
+  while (next_line()) {
     if (line.empty()) continue;
     const auto comma = line.find(',');
     if (comma == std::string::npos) fail(line_no, "missing comma");
@@ -55,7 +60,11 @@ PriceTrace load_csv(std::istream& in) {
       if (ec != std::errc{} || p != rhs.data() + rhs.size()) {
         fail(line_no, "bad end timestamp: " + rhs);
       }
-      trace.set_end(end);
+      try {
+        trace.set_end(end);
+      } catch (const std::invalid_argument& e) {
+        fail(line_no, e.what());
+      }
       saw_end = true;
       continue;
     }

@@ -16,7 +16,8 @@ namespace spothost::trace {
 void save_csv(const PriceTrace& trace, std::ostream& out);
 void save_csv_file(const PriceTrace& trace, const std::string& path);
 
-/// Throws std::runtime_error with a line number on malformed input.
+/// Throws std::runtime_error with a line number on malformed input. Lines
+/// may end in CRLF: one trailing '\r' per line is ignored.
 PriceTrace load_csv(std::istream& in);
 PriceTrace load_csv_file(const std::string& path);
 

@@ -288,6 +288,58 @@ TEST(Provider, PriceStepWarnsBidsStrictlyBelowItInIdOrder) {
   EXPECT_EQ(provider.instance(ids[4]).state, InstanceState::kTerminated);
 }
 
+TEST(Provider, MarketIndicesAreDenseInAllMarketsOrder) {
+  // Trace-fed and push-fed markets interleaved: each market's index is its
+  // position in all_markets(), instances record their market's index, and
+  // a price step revokes through its own market's index only.
+  sim::Simulation sim;
+  sim::RngFactory rng(1234);
+  CloudProvider provider(sim, rng);
+  const MarketId trace_a{"us-east-1a", InstanceSize::kSmall};
+  const MarketId push_b{"push-b", InstanceSize::kSmall};
+  const MarketId trace_c{"us-east-1a", InstanceSize::kLarge};
+  const MarketId push_d{"push-d", InstanceSize::kMedium};
+  auto flat = [] {
+    trace::PriceTrace t;
+    t.append(0, 0.02);
+    t.set_end(48 * kHour);
+    return t;
+  };
+  provider.add_market(trace_a, flat(), 0.06);
+  provider.add_live_market(push_b, 0.06);
+  provider.add_market(trace_c, flat(), 0.24);
+  provider.add_live_market(push_d, 0.12);
+  provider.start();
+  const std::vector<MarketId> order{trace_a, push_b, trace_c, push_d};
+  ASSERT_EQ(provider.all_markets(), order);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(provider.market(order[i]).index(), i) << order[i].str();
+  }
+  provider.market(push_b).prime(0.02);
+  provider.market(push_d).prime(0.02);
+
+  std::vector<InstanceId> warned;
+  auto on_ready = [&](InstanceId iid) {
+    provider.set_revocation_handler(
+        iid, [&](InstanceId w, sim::SimTime) { warned.push_back(w); });
+  };
+  auto no_fail = [](AllocFailure) { FAIL() << "spot request should be granted"; };
+  const InstanceId on_b = provider.request_spot(push_b, 0.05, on_ready, no_fail);
+  const InstanceId on_d = provider.request_spot(push_d, 0.05, on_ready, no_fail);
+  const InstanceId on_c = provider.request_on_demand(trace_c, [](InstanceId) {});
+  EXPECT_EQ(provider.instance(on_b).market_index, 1u);
+  EXPECT_EQ(provider.instance(on_d).market_index, 3u);
+  EXPECT_EQ(provider.instance(on_c).market_index, 2u);
+  sim.run_until(kHour);
+  ASSERT_EQ(provider.instance(on_d).state, InstanceState::kRunning);
+
+  provider.market(push_d).push_price(0.5);
+  EXPECT_EQ(warned, std::vector<InstanceId>{on_d});
+  EXPECT_EQ(provider.instance(on_b).state, InstanceState::kRunning);
+  provider.market(push_b).push_price(0.5);
+  EXPECT_EQ(warned, (std::vector<InstanceId>{on_d, on_b}));
+}
+
 TEST(Provider, NegativeGraceRejected) {
   sim::Simulation s;
   sim::RngFactory f(1);

@@ -210,6 +210,52 @@ TEST_F(MarketWatcherTest, ReentrantPriceStepDeliversEachMarketOnceInOrder) {
   EXPECT_EQ(seen, expected);
 }
 
+TEST_F(MarketWatcherTest, FirstWatchOfANewMarketMidDeliveryKeepsThePassCorrect) {
+  // The interest table is indexed by market index and grows on a market's
+  // first watch. Here it holds columns up to kPushA's index when a
+  // recipient of a kPushA step first watches kPushB, whose index is
+  // higher: the table grows (and moves) under the in-flight pass. The rest
+  // of that pass and later steps of both markets must be delivered exactly
+  // as before; under ASan a pass that kept a reference to its column would
+  // read freed memory here.
+  ASSERT_LT(provider_->market(kPushA).index(), provider_->market(kPushB).index());
+  std::vector<std::pair<int, std::pair<MarketId, double>>> seen;
+  MarketWatcher::ListenerId late = MarketWatcher::kInvalidListener;
+  auto record = [&seen](int who) {
+    return [&seen, who](const MarketId& market, double price) {
+      seen.push_back({who, {market, price}});
+    };
+  };
+  const auto first = add_listener(record(1));
+  const auto grower = add_listener([&](const MarketId& market, double price) {
+    seen.push_back({2, {market, price}});
+    if (watcher_->provider_subscriptions() == 1) {
+      watcher_->watch(late, {kPushB});
+      watcher_->watch(late, {kPushA});  // appended: not part of this step
+    }
+  });
+  const auto after = add_listener(record(3));
+  late = add_listener(record(4));
+  watcher_->watch(first, {kPushA});
+  watcher_->watch(grower, {kPushA});
+  watcher_->watch(after, {kPushA});
+  EXPECT_EQ(watcher_->provider_subscriptions(), 1u);
+
+  provider_->market(kPushA).push_price(0.03);
+  EXPECT_EQ(watcher_->provider_subscriptions(), 2u);
+  provider_->market(kPushB).push_price(0.01);
+  provider_->market(kPushA).push_price(0.04);
+
+  const std::vector<std::pair<int, std::pair<MarketId, double>>> expected{
+      {1, {kPushA, 0.03}}, {2, {kPushA, 0.03}}, {3, {kPushA, 0.03}},
+      {4, {kPushB, 0.01}},
+      {1, {kPushA, 0.04}}, {2, {kPushA, 0.04}}, {3, {kPushA, 0.04}},
+      {4, {kPushA, 0.04}}};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(watcher_->price_deliveries(), 8u);
+  EXPECT_EQ(provider_->market(kPushB).observer_count(), 2u);
+}
+
 TEST_F(MarketWatcherTest, OverlappingAndRepeatedWatchesDeliverOncePerStep) {
   int fired = 0;
   const auto id = add_listener([&](const MarketId& market, double) {

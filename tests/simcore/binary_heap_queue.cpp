@@ -11,7 +11,7 @@ namespace {
 constexpr std::size_t kCompactFloor = 64;
 }  // namespace
 
-EventId BinaryHeapQueue::schedule(SimTime when, Callback cb) {
+EventId BinaryHeapQueue::schedule(SimTime when, Callback&& cb) {
   const EventArena::Alloc alloc = arena_.allocate(when, std::move(cb));
   heap_.push_back(
       Entry{when, arena_.seq(alloc.slot), alloc.slot, arena_.gen(alloc.slot)});

@@ -19,7 +19,7 @@ namespace spothost::sim {
 /// bounding memory at ~2x the live count.
 class BinaryHeapQueue final : public EventQueue {
  public:
-  EventId schedule(SimTime when, Callback cb) override;
+  EventId schedule(SimTime when, Callback&& cb) override;
   bool cancel(EventId id) override;
   [[nodiscard]] bool empty() const override { return arena_.live() == 0; }
   [[nodiscard]] std::size_t size() const override { return arena_.live(); }

@@ -1,6 +1,7 @@
 // TimingWheelQueue edge cases: cascade boundaries, the overflow bucket,
-// cancellation in every location an event can live, clear(), and the
-// monotone-schedule precondition. The backend-generic contract is covered by
+// cancellation in every location an event can live, clear(), the
+// monotone-schedule precondition, and the in-place drain and
+// cascade-to-earliest paths. The backend-generic contract is covered by
 // test_event_queue.cpp; the differential fuzz lives in
 // test_queue_differential.cpp.
 #include "simcore/timing_wheel.hpp"
@@ -167,6 +168,108 @@ TEST(TimingWheel, ClearResetsEverythingIncludingWheelTime) {
   q.schedule(0, [&] { fired = true; });
   q.pop().callback();
   EXPECT_TRUE(fired);
+}
+
+TEST(TimingWheel, ScheduleAtOwnMillisecondMidDrainFiresAfterTheBatch) {
+  // The batch is drained where it lies, so a same-millisecond schedule made
+  // by one of its callbacks appends to the bucket being drained. It must
+  // fire after every earlier-scheduled sibling, not before and not lost.
+  // 5000 sits in level 2, so the batch is built by a cascade.
+  TimingWheelQueue q;
+  std::vector<int> fired;
+  q.schedule(5000, [&] {
+    fired.push_back(1);
+    q.schedule(5000, [&] { fired.push_back(4); });
+  });
+  q.schedule(5000, [&] { fired.push_back(2); });
+  q.schedule(5000, [&] { fired.push_back(3); });
+  q.schedule(5001, [&] { fired.push_back(5); });
+  std::vector<SimTime> times;
+  while (!q.empty()) {
+    auto event = q.pop();
+    times.push_back(event.time);
+    event.callback();
+  }
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(times, (std::vector<SimTime>{5000, 5000, 5000, 5000, 5001}));
+}
+
+TEST(TimingWheel, CancellingALaterSiblingMidDrainSkipsIt) {
+  // A callback cancels a same-millisecond sibling that the batch has not
+  // reached yet: the sibling's record stays in the bucket, and the drain
+  // must skip it.
+  TimingWheelQueue q;
+  std::vector<int> fired;
+  EventId doomed = kInvalidEventId;
+  q.schedule(5000, [&] {
+    fired.push_back(1);
+    EXPECT_TRUE(q.cancel(doomed));
+  });
+  q.schedule(5000, [&] { fired.push_back(2); });
+  doomed = q.schedule(5000, [&] { fired.push_back(3); });
+  q.schedule(5000, [&] { fired.push_back(4); });
+  while (!q.empty()) q.pop().callback();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 4}));
+  EXPECT_FALSE(q.cancel(doomed));
+}
+
+TEST(TimingWheel, CascadedBucketWithCancelledEarliestPopsLiveRecordsInOrder) {
+  // All four records share one level-2 bucket. Its earliest (5000) is
+  // cancelled, so the cascade moves the clock to a dead record's time; the
+  // live ones must still pop in (time, FIFO) order, and a schedule between
+  // the dead time and the next live one, issued after a peek, must still
+  // fire first.
+  TimingWheelQueue q;
+  const EventId dead = q.schedule(5000, [] {});
+  const EventId late = q.schedule(6000, [] {});
+  const EventId mid = q.schedule(5100, [] {});
+  const EventId first = q.schedule(5003, [] {});
+  const EventId tied = q.schedule(5100, [] {});
+  q.schedule(10, [] {});
+  EXPECT_EQ(q.pop().time, 10);
+  EXPECT_TRUE(q.cancel(dead));
+  EXPECT_EQ(q.next_time(), 5003);
+  const EventId between = q.schedule(5001, [] {});
+  EXPECT_EQ(q.pre_entries(), 1u);
+  std::vector<EventId> order;
+  std::vector<SimTime> times;
+  while (!q.empty()) {
+    const auto event = q.pop();
+    order.push_back(event.id);
+    times.push_back(event.time);
+  }
+  EXPECT_EQ(order, (std::vector<EventId>{between, first, mid, tied, late}));
+  EXPECT_EQ(times, (std::vector<SimTime>{5001, 5003, 5100, 5100, 6000}));
+}
+
+TEST(TimingWheel, LoneLevelThreeEventPopsAtItsExactTimeBetweenNearEvents) {
+  // 300,007 ms (5 min) is a level-3 time, the shape of a price step: filed
+  // alone, it cascades once, straight to its own millisecond — the peek
+  // reports its exact time, not its bucket's start. Near events scheduled
+  // around it afterwards (one behind the advanced frontier, one at it, one
+  // after) interleave in exact (time, FIFO) order.
+  constexpr SimTime kStep = 300'007;
+  static_assert(kStep >> (3 * TimingWheelQueue::kLevelBits) != 0);
+  static_assert(kStep >> (4 * TimingWheelQueue::kLevelBits) == 0);
+  TimingWheelQueue q;
+  const EventId step = q.schedule(kStep, [] {});
+  q.schedule(100, [] {});
+  q.schedule(200, [] {});
+  EXPECT_EQ(q.pop().time, 100);
+  EXPECT_EQ(q.pop().time, 200);
+  EXPECT_EQ(q.next_time(), kStep);
+  const EventId before = q.schedule(kStep - 1, [] {});
+  const EventId tied = q.schedule(kStep, [] {});
+  const EventId after = q.schedule(kStep + 1, [] {});
+  std::vector<EventId> order;
+  std::vector<SimTime> times;
+  while (!q.empty()) {
+    const auto event = q.pop();
+    order.push_back(event.id);
+    times.push_back(event.time);
+  }
+  EXPECT_EQ(order, (std::vector<EventId>{before, step, tied, after}));
+  EXPECT_EQ(times, (std::vector<SimTime>{kStep - 1, kStep, kStep, kStep + 1}));
 }
 
 TEST(TimingWheel, DenseMillisecondsSweepCleanly) {

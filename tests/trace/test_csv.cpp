@@ -104,6 +104,40 @@ TEST(Csv, ErrorMessagesCarryLineNumbers) {
   }
 }
 
+TEST(Csv, CrlfFileParsesLikeLfFile) {
+  const std::string lf = "time_ms,price_per_hour\n0,0.5\n\n100,0.6\nend,200\n";
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  std::stringstream lf_in(lf);
+  std::stringstream crlf_in(crlf);
+  const auto want = load_csv(lf_in);
+  const auto got = load_csv(crlf_in);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.end(), want.end());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.points()[i].time, want.points()[i].time);
+    EXPECT_EQ(got.points()[i].price, want.points()[i].price);
+  }
+  // Only one '\r' is line ending; a second is still junk in the price.
+  std::stringstream doubled("time_ms,price_per_hour\r\n0,0.5\r\r\n");
+  EXPECT_THROW(load_csv(doubled), std::runtime_error);
+}
+
+TEST(Csv, EndBeforeLastPointNamesItsLine) {
+  std::stringstream ss("time_ms,price_per_hour\n0,0.5\n100,0.6\nend,50\n");
+  try {
+    load_csv(ss);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("end before last point"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Csv, FileRoundTrip) {
   const auto original = make_trace();
   const std::string path = ::testing::TempDir() + "/spothost_trace_test.csv";
