@@ -214,7 +214,7 @@ TEST(TimingWheel, CancellingALaterSiblingMidDrainSkipsIt) {
 }
 
 TEST(TimingWheel, CascadedBucketWithCancelledEarliestPopsLiveRecordsInOrder) {
-  // All four records share one level-2 bucket. Its earliest (5000) is
+  // All five records share one level-2 bucket. Its earliest (5000) is
   // cancelled, so the cascade moves the clock to a dead record's time; the
   // live ones must still pop in (time, FIFO) order, and a schedule between
   // the dead time and the next live one, issued after a peek, must still
