@@ -49,9 +49,8 @@ struct AllocationLatency {
 struct Instance {
   InstanceId id = kInvalidInstance;
   MarketId market;
-  /// market's SpotMarket::index(), recorded at request: the provider's own
-  /// per-instance paths (grant, revocation index, billing) find the market
-  /// by it rather than by name.
+  /// market's SpotMarket::index(), recorded at request so grant, the
+  /// revocation index and billing find the market without hashing.
   std::size_t market_index = 0;
   BillingMode mode = BillingMode::kOnDemand;
   double bid = 0.0;  ///< spot only

@@ -26,11 +26,9 @@
 // Invocation is one indirect call through a static per-type ops table; moves
 // of inline captures dispatch through the same table (memcpy-speed for the
 // trivially-relocatable common shapes), and heap captures move as a pointer
-// swap without touching the callable. Each move is therefore an indirect
-// call, so the event path keeps them to two: Clock::at() builds the
-// Callback in its parameter, the queue and the arena take it by rvalue
-// reference, and it moves once into its arena slot and once out into the
-// dispatch loop's Fired record (see event_arena.hpp).
+// swap without touching the callable. Each move is an indirect call, so
+// the event path makes two: into the arena slot and out of it (see
+// event_arena.hpp).
 #pragma once
 
 #include <cstddef>
