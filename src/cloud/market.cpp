@@ -53,23 +53,11 @@ const trace::PriceTrace& SpotMarket::billable_trace(sim::SimTime through) {
   return trace_;
 }
 
-SpotMarket::SubscriptionId SpotMarket::subscribe(PriceObserver observer) {
-  const SubscriptionId sid = next_subscription_++;
-  observers_.emplace(sid, Subscription{nullptr, std::move(observer)});
-  return sid;
-}
-
-SpotMarket::SubscriptionId SpotMarket::subscribe(PriceListener* listener) {
+void SpotMarket::subscribe(PriceListener* listener) {
   if (listener == nullptr) {
     throw std::invalid_argument("SpotMarket::subscribe: null listener");
   }
-  const SubscriptionId sid = next_subscription_++;
-  observers_.emplace(sid, Subscription{listener, nullptr});
-  return sid;
-}
-
-void SpotMarket::unsubscribe(SubscriptionId id) {
-  observers_.erase(id);
+  listeners_.push_back(listener);
 }
 
 void SpotMarket::start() {
@@ -143,20 +131,11 @@ void SpotMarket::schedule_next(sim::SimTime after_time) {
 }
 
 void SpotMarket::dispatch(double new_price) {
-  // Snapshot ids, not observer functions: a callback may (un)subscribe
-  // reentrantly, and ids are stable where map iterators are not. The buffer
-  // is a reused member, so steady-state price steps do not allocate.
-  dispatch_ids_.clear();
-  for (const auto& [sid, obs] : observers_) dispatch_ids_.push_back(sid);
-  for (const SubscriptionId sid : dispatch_ids_) {
-    const auto it = observers_.find(sid);
-    if (it == observers_.end()) continue;  // unsubscribed mid-dispatch
-    if (it->second.listener != nullptr) {
-      it->second.listener->on_price(*this, new_price);
-    } else {
-      it->second.fn(*this, new_price);
-    }
-  }
+  // By index over the count at entry: a listener may subscribe reentrantly,
+  // which grows (and may move) the vector, and the newcomer joins from the
+  // next step.
+  const std::size_t count = listeners_.size();
+  for (std::size_t i = 0; i < count; ++i) listeners_[i]->on_price(*this, new_price);
 }
 
 }  // namespace spothost::cloud

@@ -2,9 +2,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -33,7 +31,7 @@ struct MarketIdHash {
   }
 };
 
-/// One market, with observer callbacks on every price change. The
+/// One market, with listeners called on every price change. The
 /// CloudProvider owns SpotMarkets and layers instance/revocation logic on
 /// top. Two feeding modes share the class:
 ///
@@ -52,14 +50,10 @@ struct MarketIdHash {
 /// before the commit callback runs.
 class SpotMarket {
  public:
-  using PriceObserver = std::function<void(const SpotMarket&, double new_price)>;
-  using SubscriptionId = std::uint64_t;
-
-  /// The hot-path subscription surface: one virtual call per price step per
+  /// The subscription surface: one virtual call per price step per
   /// subscriber, no std::function dispatch, no capture storage. The two
-  /// per-market permanent subscribers (CloudProvider's revocation logic and
-  /// the fleet's shared MarketWatcher) implement this; ad-hoc observers
-  /// (tests, probes) can keep using the std::function overload.
+  /// per-market permanent subscribers are CloudProvider's revocation logic
+  /// and the shared MarketWatcher.
   class PriceListener {
    public:
     virtual ~PriceListener() = default;
@@ -100,15 +94,14 @@ class SpotMarket {
   /// until prime() has supplied the first price.
   [[nodiscard]] double price() const;
 
-  /// Registers a price-change observer; fires on every change event.
-  SubscriptionId subscribe(PriceObserver observer);
-  /// Interface flavour (not owned; must outlive the subscription). The hot
-  /// dispatch path calls on_price directly — no type-erased invocation.
-  SubscriptionId subscribe(PriceListener* listener);
-  void unsubscribe(SubscriptionId id);
-  /// Live observers (the provider's own revocation logic counts as one).
+  /// Calls `listener` (not owned; it must outlive the market's price steps)
+  /// on every committed price change from the next one on, after the
+  /// listeners subscribed before it. A subscription lasts as long as the
+  /// market.
+  void subscribe(PriceListener* listener);
+  /// Subscribed listeners (the provider's own revocation logic counts as one).
   [[nodiscard]] std::size_t observer_count() const noexcept {
-    return observers_.size();
+    return listeners_.size();
   }
 
   /// Trace mode: begins replaying price-change events into the clock. Call
@@ -163,22 +156,9 @@ class SpotMarket {
   double staged_price_ = 0.0;
   double live_price_ = 0.0;  ///< last committed (or primed) push-mode price
 
-  // Ordered by subscription id so observer dispatch order is deterministic
-  // (the provider's revocation logic subscribes first and must run first).
-  // A subscription is either an interface pointer (hot path — provider,
-  // watcher) or a type-erased function (tests, probes); exactly one is set.
-  struct Subscription {
-    PriceListener* listener = nullptr;
-    PriceObserver fn;
-  };
-  std::map<SubscriptionId, Subscription> observers_;
-  // Reused id snapshot for dispatch: observers may (un)subscribe reentrantly,
-  // so each price step walks a stable list of ids — not live map iterators —
-  // and re-looks each id up before calling. Snapshotting ids instead of the
-  // std::function objects themselves keeps a price step allocation-free once
-  // the buffer has grown to the steady-state observer count.
-  std::vector<SubscriptionId> dispatch_ids_;
-  SubscriptionId next_subscription_ = 1;
+  // In subscription order, which is dispatch order (the provider's
+  // revocation logic subscribes first and must run first).
+  std::vector<PriceListener*> listeners_;
   bool started_ = false;
 };
 

@@ -3,8 +3,8 @@
 //
 // The injector is owned by the World and attached to the engine
 // (sim::Engine::set_fault_injector) the same way the Tracer is, so every
-// component holding a sim::Clock& — the provider, the migration engine —
-// reads it from one place without new constructor plumbing. Each injection
+// component holding a sim::Clock& — the provider, the scheduler — reads it
+// from one place without new constructor plumbing. Each injection
 // point calls should_inject(kind, ...) at the moment the fault could occur
 // (an "opportunity"); the injector counts the opportunity, consults the
 // plan, and on a hit emits a kFaultInjected trace event through the

@@ -70,13 +70,8 @@ class HostingSession {
   /// then scheduler, the run_hosting_scenario order.
   void finalize(sim::SimTime at);
 
-  [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
   [[nodiscard]] cloud::CloudProvider& provider() noexcept { return *provider_; }
-  [[nodiscard]] workload::AlwaysOnService& service() noexcept { return *service_; }
   [[nodiscard]] sched::CloudScheduler& scheduler();
-  [[nodiscard]] const sched::CloudScheduler* scheduler_if_started() const noexcept {
-    return scheduler_.get();
-  }
 
  private:
   sim::Engine& engine_;

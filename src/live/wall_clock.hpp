@@ -109,9 +109,6 @@ class WallClock final : public sim::Engine {
   /// loop sleeps on this.
   [[nodiscard]] std::optional<std::chrono::nanoseconds> wall_until_next() const;
 
-  [[nodiscard]] bool fast_replay() const noexcept { return replay_; }
-  [[nodiscard]] double speed() const noexcept { return speed_; }
-
  private:
   /// Virtual time corresponding to the current wall instant.
   [[nodiscard]] sim::SimTime wall_virtual_now() const;

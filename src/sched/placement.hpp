@@ -4,10 +4,9 @@
 // A PlacementPolicy answers one question: given the provider's current
 // prices and a price ceiling, which destination should the service move to?
 // A destination is a Placement — market, on-demand flag, and (for spot) the
-// bid. CloudScheduler and MigrationEngine never select markets themselves;
-// they ask the policy, so new strategies (portfolio selection, hybrid
-// spot/on-demand splits, ...) plug in through SchedulerConfig::placement
-// without touching either.
+// bid. CloudScheduler never selects markets itself; it asks the policy, so
+// new strategies (portfolio selection, hybrid spot/on-demand splits, ...)
+// plug in through SchedulerConfig::placement without touching it.
 //
 // The default ScopedPlacementPolicy implements the paper's behaviour:
 // candidates from the configured MarketScope (Secs. 4.2/4.4/4.5), ranked by

@@ -19,11 +19,21 @@ namespace {
 constexpr double kLeadSafetyFactor = 1.3;  // allocation-latency headroom
 constexpr SimTime kLeadSlack = 60 * sim::kSecond;
 
-// The engine is built from the config in the member initializers, so the
+// The planners are built from the config in the member initializers, so the
 // config is checked there, before anything reads it.
 SchedulerConfig checked(SchedulerConfig config) {
   config.validate();
   return config;
+}
+
+/// The combo with live pre-copy removed — what a live migration degrades to
+/// when an injected kLiveCopyAbort fires and graceful degradation is on.
+virt::MechanismCombo live_stripped(virt::MechanismCombo combo) noexcept {
+  switch (combo) {
+    case virt::MechanismCombo::kCkptLive: return virt::MechanismCombo::kCkpt;
+    case virt::MechanismCombo::kCkptLazyLive: return virt::MechanismCombo::kCkptLazy;
+    default: return combo;
+  }
 }
 
 }  // namespace
@@ -39,7 +49,8 @@ CloudScheduler::CloudScheduler(sim::Clock& clock,
       rng_(std::move(timing_rng)),
       spec_(config_.vm_spec),
       watcher_(watcher),
-      engine_(clock_, provider_, service_, *this, config_, spec_, rng_) {
+      planner_(config_.combo, config_.mech, virt::NetworkModel{}),
+      ckpt_planner_(live_stripped(config_.combo), config_.mech, virt::NetworkModel{}) {
   if (spec_.memory_gb <= 0) {
     const auto& info = cloud::type_info(config_.home_market.size);
     spec_ = virt::default_spec_for_memory(info.memory_gb, info.disk_gb);
@@ -63,20 +74,14 @@ CloudScheduler::~CloudScheduler() {
   }
 }
 
-void CloudScheduler::set_owner_tag(std::uint64_t owner) {
-  owner_tag_ = owner;
-  engine_.set_owner_tag(owner);
-}
-
 int CloudScheduler::units_needed() const {
   if (config_.capacity_units_override > 0) return config_.capacity_units_override;
   return cloud::type_info(config_.home_market.size).capacity_units;
 }
 
 double CloudScheduler::od_threshold() const {
-  const std::string& region =
-      holding_ ? holding_->market.region : config_.home_market.region;
-  return effective_on_demand_price(provider_, region, config_.home_market.size);
+  return effective_on_demand_price(provider_, source_market().region,
+                                   config_.home_market.size);
 }
 
 PlacementQuery CloudScheduler::placement_query(double threshold) const {
@@ -85,31 +90,15 @@ PlacementQuery CloudScheduler::placement_query(double threshold) const {
   query.max_effective_price = threshold;
   if (holding_ && !holding_->on_demand) query.exclude = holding_->market;
   query.avoid = avoid_markets_;
-  query.fallback_region =
-      holding_ ? holding_->market.region : config_.home_market.region;
+  query.fallback_region = source_market().region;
   query.now = clock_.now();
   return query;
 }
 
-SimTime CloudScheduler::planned_lead() const {
-  const std::string& region =
-      holding_ ? holding_->market.region : config_.home_market.region;
-  const auto lat = provider_.allocation_latency(region);
-  const auto t =
-      engine_.planner().plan(virt::MigrationClass::kPlanned, spec_, region, region);
-  return sim::from_seconds(lat.on_demand_mean_s * kLeadSafetyFactor + t.prepare_s +
-                           t.downtime_s) +
-         kLeadSlack;
-}
-
-SimTime CloudScheduler::reverse_lead() const {
-  const std::string& region =
-      holding_ ? holding_->market.region : config_.home_market.region;
-  const auto lat = provider_.allocation_latency(region);
-  const auto t =
-      engine_.planner().plan(virt::MigrationClass::kReverse, spec_, region, region);
-  return sim::from_seconds(lat.spot_mean_s * kLeadSafetyFactor + t.prepare_s +
-                           t.downtime_s) +
+SimTime CloudScheduler::lead(virt::MigrationClass cls, double alloc_mean_s) const {
+  const std::string& region = source_market().region;
+  const auto t = planner_.plan(cls, spec_, region, region);
+  return sim::from_seconds(alloc_mean_s * kLeadSafetyFactor + t.prepare_s + t.downtime_s) +
          kLeadSlack;
 }
 
@@ -146,7 +135,7 @@ void CloudScheduler::acquire_initial() {
   const auto best = placement_->choose_spot(provider_, config_, query);
   if (best) {
     const MarketId target = best->market;
-    pending_acquire_ = provider_.request_spot(
+    pending_acquire_ = owned(provider_.request_spot(
         target, best->bid,
         [this, target](InstanceId iid) {
           const BandRefresh refresh(*this);
@@ -163,14 +152,11 @@ void CloudScheduler::acquire_initial() {
             return;
           }
           acquire_initial();  // price moved; re-evaluate (likely on-demand now)
-        });
-    if (owner_tag_ != cloud::kNoOwner) {
-      provider_.set_instance_owner(pending_acquire_, owner_tag_);
-    }
+        }));
     return;
   }
   const Placement od = placement_->choose_on_demand(provider_, config_, query);
-  pending_acquire_ = provider_.request_on_demand(
+  pending_acquire_ = owned(provider_.request_on_demand(
       od.market,
       [this, od_market = od.market](InstanceId iid) {
         const BandRefresh refresh(*this);
@@ -181,10 +167,7 @@ void CloudScheduler::acquire_initial() {
         const BandRefresh refresh(*this);
         pending_acquire_ = cloud::kInvalidInstance;
         on_acquire_capacity_failed(od_market, /*was_spot=*/false);
-      });
-  if (owner_tag_ != cloud::kNoOwner) {
-    provider_.set_instance_owner(pending_acquire_, owner_tag_);
-  }
+      }));
 }
 
 void CloudScheduler::on_acquire_capacity_failed(const MarketId& market,
@@ -196,41 +179,48 @@ void CloudScheduler::on_acquire_capacity_failed(const MarketId& market,
           avoid_markets_.end()) {
     avoid_markets_.push_back(market);
   }
-  const int attempt = ++acquire_attempts_;
-  const RetryPolicy& retry = config_.retry;
-  double delay_s = 0.0;
-  if (retry.retries_enabled() && attempt <= retry.max_attempts) {
-    delay_s = retry.backoff_s(attempt);
-  } else if (retry.graceful_degradation) {
-    // Retry budget spent: announce degraded mode once, then slow-poll at the
-    // backoff cap until something is granted.
-    if (!degraded_acquire_) {
-      degraded_acquire_ = true;
-      trace(obs::EventKind::kDegradedMode, obs::code::kDegradeSlowRetry,
-            [&](obs::TraceEvent& e) { e.market = market.str(); });
-    }
-    delay_s = retry.backoff_max_s;
-  } else {
-    // Retries off, no degradation: acquisition is abandoned and the service
-    // stays down — the retries-off ablation arm measures exactly this.
+  const auto delay = next_retry(acquire_attempts_, degraded_acquire_, market,
+                                obs::code::kRetryAcquire);
+  if (!delay) {
+    // Acquisition is abandoned and the service stays down — the retries-off
+    // ablation arm measures exactly this.
     SPOTHOST_LOG(sim::LogLevel::kWarn, clock_.now(),
                  "acquisition in " << market.str()
                      << " failed (capacity); retries disabled, giving up");
     return;
   }
-  trace(obs::EventKind::kRetryScheduled, obs::code::kRetryAcquire,
-        [&](obs::TraceEvent& e) {
-          e.value = static_cast<double>(attempt);
-          e.aux = delay_s;
-          e.market = market.str();
-        });
-  clock_.after(sim::from_seconds(delay_s), [this] {
+  clock_.after(*delay, [this] {
     const BandRefresh refresh(*this);
     if (pending_acquire_ != cloud::kInvalidInstance) return;
     if (state_ != State::kAcquiring && state_ != State::kDown) return;
-    if (engine_.active()) return;
+    if (migration_ || forced_) return;
     acquire_initial();
   });
+}
+
+std::optional<SimTime> CloudScheduler::next_retry(int& attempts, bool& degraded,
+                                                  const MarketId& market,
+                                                  std::uint8_t code) {
+  const int attempt = ++attempts;
+  const RetryPolicy& retry = config_.retry;
+  double delay_s = retry.backoff_max_s;
+  if (retry.retries_enabled() && attempt <= retry.max_attempts) {
+    delay_s = retry.backoff_s(attempt);
+  } else if (!retry.graceful_degradation) {
+    return std::nullopt;
+  } else if (!degraded) {
+    // Retry budget spent: announce degraded mode once, then keep polling at
+    // the backoff cap — the operation eventually succeeds, just slowly.
+    degraded = true;
+    trace(obs::EventKind::kDegradedMode, obs::code::kDegradeSlowRetry,
+          [&](obs::TraceEvent& e) { e.market = market.str(); });
+  }
+  trace(obs::EventKind::kRetryScheduled, code, [&](obs::TraceEvent& e) {
+    e.value = static_cast<double>(attempt);
+    e.aux = delay_s;
+    e.market = market.str();
+  });
+  return sim::from_seconds(delay_s);
 }
 
 void CloudScheduler::adopt(InstanceId instance, const MarketId& market,
@@ -265,25 +255,29 @@ void CloudScheduler::adopt(InstanceId instance, const MarketId& market,
                         << " instance " << instance);
 }
 
+InstanceId CloudScheduler::owned(InstanceId instance) {
+  if (owner_tag_ != cloud::kNoOwner) provider_.set_instance_owner(instance, owner_tag_);
+  return instance;
+}
+
 // ---------------------------------------------------------------------------
 // Price triggers
 // ---------------------------------------------------------------------------
 
 void CloudScheduler::on_price_change(const MarketId& market, double new_price) {
   (void)new_price;
-  if (engine_.forced_active()) return;  // the forced flow owns the next transitions
+  // The band is the rule for which steps matter: a step inside it changes
+  // nothing, whether or not the watcher skipped it.
+  if (price_band(market).contains(provider_.price(market))) return;
 
-  // Pure-spot reacquisition: the market dipped back below the bid (also
-  // covers an initial acquisition that has been waiting for the price).
-  if (!config_.on_demand_allowed() &&
-      (state_ == State::kDown || state_ == State::kAcquiring)) {
+  // Pure spot, acquiring or down: the market may have dipped back below the
+  // bid (this also covers an initial acquisition waiting for the price).
+  if (!config_.on_demand_allowed()) {
     pure_spot_reacquire();
     return;
   }
 
-  if (state_ != State::kOnSpot || !holding_ || market != holding_->market) return;
-  if (!bidding_->plans_migrations(config_) || !config_.on_demand_allowed()) return;
-
+  // A proactive spot holding, and `market` is the held one.
   const double eff = effective_spot_price(provider_, market, units_needed());
   const double threshold = od_threshold();
   const bool above = eff > threshold;
@@ -303,19 +297,17 @@ void CloudScheduler::on_price_change(const MarketId& market, double new_price) {
   } else {
     // Spike cancellation: a planned move whose trigger evaporated before
     // its transfer started is abandoned.
-    cancel_scheduled_planned();
-    if (engine_.voluntary_class() == virt::MigrationClass::kPlanned &&
-        !engine_.transfer_started()) {
-      engine_.abandon(AbandonReason::kPriceRecovered);
-    }
+    planned_begin_event_.cancel();
+    if (planned_abandonable()) abandon(AbandonReason::kPriceRecovered);
   }
 }
 
 PriceBand CloudScheduler::price_band(const MarketId& market) const {
-  // Mirrors on_price_change branch by branch. Every early return there is
-  // "never wake"; pure spot while acquiring or down wakes on every step,
-  // because the bid may depend on now.
-  if (engine_.forced_active()) return PriceBand::everything();
+  // Only two states act on a price step. Pure spot while acquiring or down
+  // wakes on every step, because the bid may depend on now; a proactive
+  // spot holding acts on its own market's steps, below. Nothing else does,
+  // and a forced flow owns the next transitions.
+  if (forced_) return PriceBand::everything();
   if (!config_.on_demand_allowed()) {
     return state_ == State::kDown || state_ == State::kAcquiring
                ? PriceBand{}
@@ -334,11 +326,8 @@ PriceBand CloudScheduler::price_band(const MarketId& market) const {
   if (!crossing_.above()) {
     // Below (or fresh): a step below emits no edge and has no timer to
     // cancel and no planned move to abandon.
-    const bool abandonable =
-        engine_.voluntary_class() == virt::MigrationClass::kPlanned &&
-        !engine_.transfer_started();
-    if (!timer_pending && !abandonable) return PriceBand{-kInf, edge};
-  } else if (timer_pending || engine_.active()) {
+    if (!timer_pending && !planned_abandonable()) return PriceBand{-kInf, edge};
+  } else if (timer_pending || migration_) {
     // Above with a move already armed: a step above emits no edge and
     // maybe_schedule_planned() returns at once.
     return PriceBand{edge, kInf};
@@ -351,12 +340,15 @@ PriceBand CloudScheduler::price_band(const MarketId& market) const {
 // ---------------------------------------------------------------------------
 
 void CloudScheduler::maybe_schedule_planned() {
-  if (engine_.active() || planned_begin_event_.valid()) return;
+  if (migration_ || forced_ || planned_begin_event_.valid()) return;
   if (config_.planned_timing == PlannedTiming::kImmediate) {
     begin_planned();
     return;
   }
-  const SimTime begin_at = next_instance_hour_boundary() - planned_lead();
+  const SimTime begin_at =
+      next_instance_hour_boundary() -
+      lead(virt::MigrationClass::kPlanned,
+           provider_.allocation_latency(source_market().region).on_demand_mean_s);
   if (begin_at <= clock_.now()) {
     begin_planned();
     return;
@@ -364,28 +356,21 @@ void CloudScheduler::maybe_schedule_planned() {
   planned_begin_event_ = clock_.at(begin_at, [this] {
     const BandRefresh refresh(*this);
     planned_begin_event_.reset();
-    if (state_ != State::kOnSpot || engine_.active() || !holding_) return;
+    if (state_ != State::kOnSpot || migration_ || forced_ || !holding_) return;
     const double eff =
         effective_spot_price(provider_, holding_->market, units_needed());
     if (eff > od_threshold()) begin_planned();
   });
 }
 
-void CloudScheduler::cancel_scheduled_planned() { planned_begin_event_.cancel(); }
-
 void CloudScheduler::begin_planned() {
-  if (state_ != State::kOnSpot || engine_.active() || !holding_) return;
+  if (state_ != State::kOnSpot || migration_ || forced_ || !holding_) return;
   const double threshold = od_threshold() * config_.reverse_price_margin;
   const auto query = placement_query(threshold);
   const auto best = placement_->choose_spot(provider_, config_, query);
   const Placement target =
       best ? *best : placement_->choose_on_demand(provider_, config_, query);
-  engine_.begin_voluntary(virt::MigrationClass::kPlanned, target, holding_->id);
-}
-
-void CloudScheduler::begin_reverse(const Placement& target) {
-  if (state_ != State::kOnDemand || engine_.active() || !holding_) return;
-  engine_.begin_voluntary(virt::MigrationClass::kReverse, target, holding_->id);
+  begin_voluntary(virt::MigrationClass::kPlanned, target);
 }
 
 void CloudScheduler::on_voluntary_dest_failed(virt::MigrationClass cls) {
@@ -395,7 +380,7 @@ void CloudScheduler::on_voluntary_dest_failed(virt::MigrationClass cls) {
   }
   // Planned: the cheaper market evaporated (or the destination was revoked
   // before adoption); fall back through placement if the trigger still holds.
-  if (state_ == State::kOnSpot && holding_ && !engine_.forced_active() &&
+  if (state_ == State::kOnSpot && holding_ && !forced_ &&
       effective_spot_price(provider_, holding_->market, units_needed()) >
           od_threshold()) {
     begin_planned();
@@ -409,7 +394,10 @@ void CloudScheduler::on_voluntary_dest_failed(virt::MigrationClass cls) {
 void CloudScheduler::schedule_hour_check() {
   if (state_ != State::kOnDemand || !holding_) return;
   hour_check_event_.cancel();
-  SimTime check_at = next_instance_hour_boundary() - reverse_lead();
+  SimTime check_at =
+      next_instance_hour_boundary() -
+      lead(virt::MigrationClass::kReverse,
+           provider_.allocation_latency(source_market().region).spot_mean_s);
   while (check_at <= clock_.now()) check_at += sim::kHour;
   hour_check_event_ = clock_.at(check_at, [this] {
     const BandRefresh refresh(*this);
@@ -419,7 +407,7 @@ void CloudScheduler::schedule_hour_check() {
 }
 
 void CloudScheduler::on_hour_check() {
-  if (state_ != State::kOnDemand || engine_.active() || !holding_) return;
+  if (state_ != State::kOnDemand || migration_ || forced_ || !holding_) return;
   trace(obs::EventKind::kBillingHourTick, obs::code::kOnDemand,
         [&](obs::TraceEvent& e) {
           e.instance = holding_->id;
@@ -429,7 +417,7 @@ void CloudScheduler::on_hour_check() {
   const auto best = placement_->choose_spot(provider_, config_,
                                             placement_query(threshold));
   if (best) {
-    begin_reverse(*best);
+    begin_voluntary(virt::MigrationClass::kReverse, *best);
   } else {
     schedule_hour_check();
   }
@@ -449,17 +437,18 @@ void CloudScheduler::handle_revocations(InstanceId instance) {
 void CloudScheduler::on_revocation_warning(InstanceId instance, SimTime t_term) {
   // A migration *destination* got warned before adoption: walk away from it
   // and retry through the normal trigger policy.
-  if (const auto cls = engine_.dest_warned(instance)) {
-    on_voluntary_dest_failed(*cls);
+  if (migration_ && instance == migration_->dest) {
+    const auto cls = migration_->cls;
+    abandon(AbandonReason::kDestRevoked);
+    on_voluntary_dest_failed(cls);
     return;
   }
   if (!holding_ || instance != holding_->id) return;  // stale warning
 
   if (!config_.on_demand_allowed()) {
     // Pure-spot baseline: checkpoint, go down, wait for the market.
-    const auto timings =
-        engine_.planner().plan(virt::MigrationClass::kForced, spec_,
-                               holding_->market.region, holding_->market.region);
+    const auto timings = planner_.plan(virt::MigrationClass::kForced, spec_,
+                                       holding_->market.region, holding_->market.region);
     const SimTime t_stop = std::max(clock_.now(),
                                     t_term - sim::from_seconds(timings.flush_s));
     clock_.at(t_stop, [this] {
@@ -479,26 +468,14 @@ void CloudScheduler::on_revocation_warning(InstanceId instance, SimTime t_term) 
 
   // If a voluntary transfer is already in flight and will finish before the
   // axe falls, just let it finish.
-  if (const auto completion = engine_.voluntary_completion_time();
-      completion && *completion <= t_term) {
+  if (migration_ && migration_->transfer_started &&
+      migration_->switchover_at + sim::from_seconds(migration_->timings.downtime_s) <=
+          t_term) {
     return;
   }
 
-  engine_.begin_forced(t_term, holding_->id, holding_->market);
+  begin_forced(t_term);
 }
-
-// ---------------------------------------------------------------------------
-// Engine notifications
-// ---------------------------------------------------------------------------
-
-void CloudScheduler::on_forced_begin() { cancel_scheduled_planned(); }
-
-void CloudScheduler::on_source_lost() {
-  holding_.reset();
-  state_ = State::kDown;
-}
-
-void CloudScheduler::on_source_released() { hour_check_event_.cancel(); }
 
 // ---------------------------------------------------------------------------
 // Pure-spot baseline
@@ -509,7 +486,7 @@ void CloudScheduler::pure_spot_reacquire() {
   const MarketId& home = config_.home_market;
   const double bid = bidding_->bid_for(provider_, config_, home, clock_.now());
   if (provider_.price(home) > bid) return;  // wait for a price-change event
-  pending_acquire_ = provider_.request_spot(
+  pending_acquire_ = owned(provider_.request_spot(
       home, bid,
       [this, home](InstanceId iid) {
         const BandRefresh refresh(*this);
@@ -520,21 +497,12 @@ void CloudScheduler::pure_spot_reacquire() {
         }
         // Restoring after an outage: resume from the checkpoint volume.
         const auto timings =
-            engine_.planner().plan(virt::MigrationClass::kForced, spec_,
-                                   home.region, home.region);
-        const SimTime restore = engine_.jittered(timings.restore_s);
-        const SimTime degraded = engine_.jittered(timings.degraded_s);
+            planner_.plan(virt::MigrationClass::kForced, spec_, home.region, home.region);
+        const SimTime restore = jittered(timings.restore_s);
+        const SimTime degraded = jittered(timings.degraded_s);
         clock_.after(restore, [this, iid, home, degraded] {
           const BandRefresh refresh_after_restore(*this);
-          if (!service_.is_up()) {
-            service_.end_outage(clock_.now(), degraded > 0);
-            if (degraded > 0) {
-              clock_.after(degraded, [this] {
-                const BandRefresh refresh_after_degraded(*this);
-                service_.end_degraded(clock_.now());
-              });
-            }
-          }
+          service_back_up(degraded);
           adopt(iid, home, /*on_demand=*/false);
         });
       },
@@ -550,10 +518,7 @@ void CloudScheduler::pure_spot_reacquire() {
         }
         // Price failure: wait for the next price change; on_price_change
         // retries.
-      });
-  if (owner_tag_ != cloud::kNoOwner) {
-    provider_.set_instance_owner(pending_acquire_, owner_tag_);
-  }
+      }));
 }
 
 // ---------------------------------------------------------------------------

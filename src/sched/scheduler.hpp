@@ -2,7 +2,9 @@
 // migrating between spot and on-demand servers with the paper's three
 // migration classes (forced / planned / reverse).
 //
-// The scheduler is a thin state machine composing three layers:
+// The scheduler is one state machine: its three migration classes share the
+// service's holding, its billing hour and its recovery from failed requests.
+// It answers the three questions of the sched/ layering:
 //
 //  * MarketWatcher  (sched/market_watcher.hpp) — *when* to move: price
 //    steps, the one event that fans out across a fleet. The watcher is
@@ -15,12 +17,11 @@
 //    market, billing mode, and bid. The scope-driven default reproduces the
 //    paper's single/multi-market/multi-region selection; custom policies
 //    plug in via SchedulerConfig::placement.
-//  * MigrationEngine (sched/migration_engine.hpp) — *how* to move: the
-//    forced / planned / reverse mechanics, driving the VM mechanism models
-//    and instance lifecycle. The scheduler holds it by value and makes it a
-//    friend; it reports back through the scheduler's private hooks.
+//  * *How* to move is the scheduler's own migration half
+//    (sched/scheduler_migration.cpp): the forced / planned / reverse
+//    mechanics, driving the VM mechanism models and instance lifecycle.
 //
-// What remains here is the paper's *decision logic*: the state machine
+// scheduler.cpp holds the paper's *decision logic*: the state machine
 // (acquiring / on-spot / on-demand / down), edge-triggered price-crossing
 // detection, hour-end planned timing, reverse hour checks, spike
 // cancellation, and the pure-spot baseline (Fig. 11) where a revocation
@@ -33,15 +34,16 @@
 // untraced event costs one counter increment.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "cloud/provider.hpp"
 #include "obs/sink.hpp"
 #include "sched/bidding.hpp"
 #include "sched/market_selection.hpp"
 #include "sched/market_watcher.hpp"
-#include "sched/migration_engine.hpp"
 #include "sched/placement.hpp"
 #include "sched/scheduler_config.hpp"
 #include "simcore/rng.hpp"
@@ -66,6 +68,9 @@ class CloudScheduler : private MarketWatcher::TriggerListener {
                  SchedulerConfig config, sim::RngStream timing_rng);
 
   ~CloudScheduler() override;
+  // The watcher, the provider and pending clock events hold its address.
+  CloudScheduler(const CloudScheduler&) = delete;
+  CloudScheduler& operator=(const CloudScheduler&) = delete;
 
   /// Kicks off initial acquisition. Call once before running the simulation.
   void start();
@@ -98,18 +103,13 @@ class CloudScheduler : private MarketWatcher::TriggerListener {
   /// Tags every instance this scheduler acquires from now on with `owner`
   /// in the provider's billing ledger, so fleet cost attribution can
   /// pro-rate each lease by the owning service's capacity need.
-  void set_owner_tag(std::uint64_t owner);
+  void set_owner_tag(std::uint64_t owner) { owner_tag_ = owner; }
 
  private:
-  // The engine reports back through the hooks below and wraps its own
-  // simulation callbacks in a BandRefresh.
-  friend class MigrationEngine;
-
   /// Re-reads this scheduler's price bands on scope exit. Every simulation
-  /// callback into the scheduler or its engine that is not a price step
-  /// (timers, hour checks, provider grants and failures, revocation
-  /// warnings, start) holds one, so no state change leaves a stale band
-  /// behind. The bands read scheduler and engine state.
+  /// callback into the scheduler that is not a price step (timers, hour
+  /// checks, provider grants and failures, revocation warnings, start) holds
+  /// one, so no state change leaves a stale band behind.
   class BandRefresh {
    public:
     explicit BandRefresh(CloudScheduler& scheduler) noexcept : scheduler_(scheduler) {}
@@ -131,16 +131,55 @@ class CloudScheduler : private MarketWatcher::TriggerListener {
     double crossing_price = 0.0;
   };
 
-  // --- events ----------------------------------------------------------
+  /// Why an in-flight planned/reverse migration was torn down. Only
+  /// kPriceRecovered counts as a "spike cancellation" in the stats.
+  enum class AbandonReason : std::uint8_t {
+    kPriceRecovered,  ///< the price trigger evaporated before transfer
+    kDestRevoked,     ///< the destination instance got a revocation warning
+    kPreempted,       ///< superseded by a forced migration of the source
+    kFault,           ///< an injected mid-flight fault (e.g. live-copy abort)
+  };
+
+  /// The in-flight voluntary (planned/reverse) migration.
+  struct Migration {
+    virt::MigrationClass cls{};
+    cloud::MarketId target;
+    bool target_on_demand = false;
+    cloud::InstanceId dest = cloud::kInvalidInstance;
+    bool dest_ready = false;
+    bool transfer_started = false;
+    sim::SimTime switchover_at = -1;
+    virt::MigrationTimings timings{};
+    sim::EventHandle switchover_event;
+  };
+
+  /// The forced flow of a source under a revocation warning.
+  struct Forced {
+    sim::SimTime t_term = 0;
+    cloud::InstanceId dest = cloud::kInvalidInstance;
+    bool dest_ready = false;
+    bool service_stopped = false;
+    bool resume_scheduled = false;
+    virt::MigrationTimings timings{};
+    /// Market the replacement server is requested in — kept so the
+    /// fault-recovery ladder can re-request after an injected capacity error.
+    cloud::MarketId od_market{};
+    int dest_attempts = 0;  ///< failed replacement requests so far
+    bool degraded = false;  ///< degraded-mode (slow-poll) announcement made
+  };
+
+  // --- events (scheduler.cpp) -------------------------------------------
   /// MarketWatcher::TriggerListener — direct interface delivery; no
   /// per-scheduler std::function on the price-step path.
   void on_price_change(const cloud::MarketId& market, double new_price) override;
-  /// The prices at which on_price_change(market) would do nothing, derived
-  /// from state alone (see the definition for the rules).
+  /// The prices at which a step of `market` changes nothing, derived from
+  /// state alone (see the definition for the rules). on_price_change opens
+  /// by returning inside it, so a skipped delivery is a no-op by
+  /// construction.
   [[nodiscard]] PriceBand price_band(const cloud::MarketId& market) const override;
   void on_hour_check();
   /// Installs the provider's revocation handler for `instance` (the held
-  /// spot server or the engine's spot destination): the warning reaches
+  /// spot server or a migration's spot destination): the warning reaches
   /// on_revocation_warning under a BandRefresh.
   ///
   /// Under fault injection (src/faults) the warning may be delivered late
@@ -153,63 +192,91 @@ class CloudScheduler : private MarketWatcher::TriggerListener {
 
   // --- acquisition ----------------------------------------------------
   void acquire_initial();
-  /// Fault-recovery ladder for injected capacity failures while acquiring:
-  /// bounded backoff retries walking the avoid-list fallback chain
-  /// (next-cheapest spot market, then on-demand), then graceful degradation
-  /// (slow polling at the backoff cap) or give-up per config_.retry.
+  /// Capacity failure while acquiring: the avoid-list fallback chain
+  /// (next-cheapest spot market, then on-demand) composed with the
+  /// next_retry ladder.
   void on_acquire_capacity_failed(const cloud::MarketId& market, bool was_spot);
+  /// One rung of the fault-recovery ladder (DESIGN.md §5), shared by
+  /// acquisition and forced replacement: counts the failure in `attempts`
+  /// and returns the delay before the next try — the backoff while the
+  /// budget lasts, then the backoff cap in degraded mode (announced once,
+  /// through `degraded`). Traces the rung as kRetryScheduled/`code` on
+  /// `market`. nullopt = retries and degradation are off: give up.
+  [[nodiscard]] std::optional<sim::SimTime> next_retry(int& attempts, bool& degraded,
+                                                       const cloud::MarketId& market,
+                                                       std::uint8_t code);
 
   // --- planned / reverse decision logic --------------------------------
   void maybe_schedule_planned();
-  void cancel_scheduled_planned();
   void begin_planned();
-  void begin_reverse(const Placement& target);
   void schedule_hour_check();
+  /// A voluntary destination request failed or its instance was warned
+  /// before adoption; retry per the trigger policy. Advisory: the move is
+  /// already torn down, and the retries-off ablation strands failed moves
+  /// (it is not called there).
+  void on_voluntary_dest_failed(virt::MigrationClass cls);
 
   // --- pure spot --------------------------------------------------------
   void pure_spot_reacquire();
 
+  // --- migrations (scheduler_migration.cpp) ------------------------------
+  /// Starts a voluntary (planned/reverse) migration of the holding to
+  /// `target`: requests the destination, transfers once it is ready,
+  /// switches over.
+  void begin_voluntary(virt::MigrationClass cls, const Placement& target);
+  void start_transfer();
+  void complete_switchover();
+  /// Tears down the in-flight voluntary migration (cancels or releases the
+  /// destination, emits the abandon event).
+  void abandon(AbandonReason reason);
+  /// Starts the forced flow for the holding, under a revocation warning
+  /// that terminates at `t_term`. Cannibalises a same-region in-flight
+  /// voluntary destination; abandons any other.
+  void begin_forced(sim::SimTime t_term);
+  cloud::InstanceId request_forced_dest(const cloud::MarketId& od_market);
+  void on_forced_dest_failed();
+  void forced_try_resume();
+
   // --- helpers ----------------------------------------------------------
   [[nodiscard]] double od_threshold() const;  ///< p_on comparator in current region
   [[nodiscard]] PlacementQuery placement_query(double threshold) const;
-  [[nodiscard]] sim::SimTime planned_lead() const;
-  [[nodiscard]] sim::SimTime reverse_lead() const;
+  /// How long before the holding's hour boundary a `cls` move must begin:
+  /// a destination allocation of mean `alloc_mean_s` with headroom, plus
+  /// the move's preparation and downtime.
+  [[nodiscard]] sim::SimTime lead(virt::MigrationClass cls, double alloc_mean_s) const;
   [[nodiscard]] sim::SimTime next_instance_hour_boundary() const;
-
-  // --- engine hooks ------------------------------------------------------
-  // Each may run inside a simulation event, and reentrantly while the
-  // scheduler's own call into the engine is on the stack (complete_switchover
-  // calls on_source_released and adopt synchronously).
-
+  /// A planned move whose transfer has not started: a price step back below
+  /// p_on abandons it (spike cancellation).
+  [[nodiscard]] bool planned_abandonable() const noexcept {
+    return migration_ && migration_->cls == virt::MigrationClass::kPlanned &&
+           !migration_->transfer_started;
+  }
   /// Market of current_instance(); the home market while none is held.
   [[nodiscard]] const cloud::MarketId& source_market() const noexcept {
     return holding_ ? holding_->market : config_.home_market;
   }
+  /// `seconds` as SimTime with the configured lognormal measurement jitter,
+  /// drawn from the timing stream.
+  [[nodiscard]] sim::SimTime jittered(double seconds);
+  /// `instance`, a request just made, tagged with this scheduler's owner in
+  /// the provider's billing ledger (untagged while owner_tag_ is kNoOwner).
+  cloud::InstanceId owned(cloud::InstanceId instance);
   /// A migration completed (or an acquisition was granted): the service now
   /// runs on `instance`, whose revocation warnings and eventual termination
   /// are the scheduler's.
   void adopt(cloud::InstanceId instance, const cloud::MarketId& market,
              bool on_demand);
-  /// A forced flow began: drop any scheduled planned-migration timer.
-  void on_forced_begin();
-  /// The provider terminated the source (forced t_term): the service has no
-  /// home until the forced flow resumes it.
-  void on_source_lost();
-  /// A voluntary switchover released the source; its reverse hour check is
-  /// now stale.
-  void on_source_released();
-  /// A voluntary destination request failed or its instance was warned
-  /// before adoption; retry per the trigger policy. Advisory: the engine has
-  /// already torn the move down, and does not call this when fault-recovery
-  /// retries are off (the retries-off ablation strands failed moves).
-  void on_voluntary_dest_failed(virt::MigrationClass cls);
+  /// The service comes back from an outage (a restore, a switchover's
+  /// downtime or a forced resume ended): it serves degraded for `degraded`
+  /// more, if that is positive. A no-op while the service is up.
+  void service_back_up(sim::SimTime degraded);
 
-  /// The only trace path, the engine's included. Counts (kind, code) in
-  /// counters_, the stats backing store, so stats never disagree with the
-  /// tracer. Only when the clock's tracer is enabled does it build the
-  /// event (t, kind, code), call `fill(event)` to set the kind's other
-  /// fields, and emit it: an untraced event builds no string. A caller
-  /// whose fields read state it is about to reset traces before the reset.
+  /// The only trace path. Counts (kind, code) in counters_, the stats
+  /// backing store, so stats never disagree with the tracer. Only when the
+  /// clock's tracer is enabled does it build the event (t, kind, code),
+  /// call `fill(event)` to set the kind's other fields, and emit it: an
+  /// untraced event builds no string. A caller whose fields read state it
+  /// is about to reset traces before the reset.
   template <typename Fill>
   void trace(obs::EventKind kind, std::uint8_t code, Fill&& fill) {
     counters_.add(kind, code);
@@ -232,8 +299,10 @@ class CloudScheduler : private MarketWatcher::TriggerListener {
   MarketWatcher& watcher_;
   std::shared_ptr<const PlacementPolicy> placement_;
   std::shared_ptr<const BidStrategy> bidding_;
-  /// Borrows config_, spec_ and rng_, so it is declared after them.
-  MigrationEngine engine_;
+  virt::MigrationPlanner planner_;
+  /// Fallback planner with live pre-copy stripped from the combo — used when
+  /// an injected kLiveCopyAbort degrades a live migration to stop-and-copy.
+  virt::MigrationPlanner ckpt_planner_;
   MarketWatcher::ListenerId listener_ = MarketWatcher::kInvalidListener;
 
   State state_ = State::kAcquiring;
@@ -242,6 +311,8 @@ class CloudScheduler : private MarketWatcher::TriggerListener {
   SchedulerCounts counters_;
   bool service_live_ = false;
   std::optional<Holding> holding_;
+  std::optional<Migration> migration_;
+  std::optional<Forced> forced_;
   sim::EventHandle planned_begin_event_;
   sim::EventHandle hour_check_event_;
   cloud::InstanceId pending_acquire_ = cloud::kInvalidInstance;

@@ -1,8 +1,12 @@
-#include "sched/migration_engine.hpp"
-
+// The scheduler's migration half — *how* to move (Sec. 3): the in-flight
+// voluntary (planned/reverse) migration with its destination request,
+// transfer and switchover timing and spike abandonment, and the forced
+// revocation flow (bounded checkpoint flush in the grace window, on-demand
+// replacement, lazy restore). It drives the VM mechanism models and the
+// provider's instance lifecycle; the decision logic (which trigger starts
+// which move) is in scheduler.cpp.
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "faults/injector.hpp"
 #include "obs/sink.hpp"
@@ -26,59 +30,31 @@ std::uint8_t migration_code(virt::MigrationClass cls) noexcept {
   return obs::code::kNone;
 }
 
-/// The combo with live pre-copy removed — what a live migration degrades to
-/// when an injected kLiveCopyAbort fires and graceful degradation is on.
-virt::MechanismCombo live_stripped(virt::MechanismCombo combo) noexcept {
-  switch (combo) {
-    case virt::MechanismCombo::kCkptLive: return virt::MechanismCombo::kCkpt;
-    case virt::MechanismCombo::kCkptLazyLive: return virt::MechanismCombo::kCkptLazy;
-    default: return combo;
-  }
-}
-
 }  // namespace
 
-MigrationEngine::MigrationEngine(sim::Clock& clock,
-                                 cloud::CloudProvider& provider,
-                                 workload::ServiceEndpoint& service,
-                                 CloudScheduler& scheduler, const SchedulerConfig& config,
-                                 const virt::VmSpec& spec, sim::RngStream& timing_rng)
-    : clock_(clock),
-      provider_(provider),
-      service_(service),
-      scheduler_(scheduler),
-      config_(config),
-      spec_(spec),
-      rng_(timing_rng),
-      planner_(config.combo, config.mech, virt::NetworkModel{}),
-      ckpt_planner_(live_stripped(config.combo), config.mech, virt::NetworkModel{}) {}
-
-SimTime MigrationEngine::jittered(double seconds) {
+SimTime CloudScheduler::jittered(double seconds) {
   if (seconds <= 0) return 0;
   if (config_.timing_jitter_cv <= 0) return sim::from_seconds(seconds);
   return sim::from_seconds(rng_.lognormal_mean_cv(seconds, config_.timing_jitter_cv));
 }
 
-std::optional<virt::MigrationClass> MigrationEngine::voluntary_class() const {
-  if (!migration_) return std::nullopt;
-  return migration_->cls;
-}
-
-bool MigrationEngine::transfer_started() const noexcept {
-  return migration_ && migration_->transfer_started;
-}
-
-std::optional<SimTime> MigrationEngine::voluntary_completion_time() const {
-  if (!migration_ || !migration_->transfer_started) return std::nullopt;
-  return migration_->switchover_at + sim::from_seconds(migration_->timings.downtime_s);
+void CloudScheduler::service_back_up(SimTime degraded) {
+  if (service_.is_up()) return;
+  service_.end_outage(clock_.now(), degraded > 0);
+  if (degraded > 0) {
+    clock_.after(degraded, [this] {
+      const BandRefresh refresh(*this);
+      service_.end_degraded(clock_.now());
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Voluntary (planned / reverse) migrations
 // ---------------------------------------------------------------------------
 
-void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement& target,
-                                      InstanceId source) {
+void CloudScheduler::begin_voluntary(virt::MigrationClass cls, const Placement& target) {
+  const InstanceId source = holding_->id;
   Migration m;
   m.cls = cls;
   m.target = target.market;
@@ -86,69 +62,63 @@ void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement&
   migration_ = m;
 
   if (target.on_demand) {
-    migration_->dest = provider_.request_on_demand(
+    migration_->dest = owned(provider_.request_on_demand(
         target.market,
         [this](InstanceId iid) {
-          const CloudScheduler::BandRefresh refresh(scheduler_);
+          const BandRefresh refresh(*this);
           if (!migration_ || migration_->dest != iid) return;
           migration_->dest_ready = true;
           start_transfer();
         },
         [this, cls](cloud::AllocFailure) {
-          const CloudScheduler::BandRefresh refresh(scheduler_);
+          const BandRefresh refresh(*this);
           // Only an injected capacity fault can land here (on-demand never
           // fails on price). The injector already traced it; drop the move
-          // unless the scheduler's retry policy is allowed to re-trigger.
+          // unless the retry policy is allowed to re-trigger.
           if (!migration_) return;
           migration_.reset();
-          if (config_.retry.retries_enabled()) scheduler_.on_voluntary_dest_failed(cls);
-        });
+          if (config_.retry.retries_enabled()) on_voluntary_dest_failed(cls);
+        }));
   } else {
-    migration_->dest = provider_.request_spot(
+    migration_->dest = owned(provider_.request_spot(
         target.market, target.bid,
         [this](InstanceId iid) {
-          const CloudScheduler::BandRefresh refresh(scheduler_);
+          const BandRefresh refresh(*this);
           if (!migration_ || migration_->dest != iid) return;
           migration_->dest_ready = true;
-          scheduler_.handle_revocations(iid);
+          handle_revocations(iid);
           start_transfer();
         },
         [this, cls, target = target.market](cloud::AllocFailure reason) {
-          const CloudScheduler::BandRefresh refresh(scheduler_);
-          scheduler_.trace(obs::EventKind::kSpotRequestFailed, obs::code::kNone,
-                           [&](obs::TraceEvent& e) { e.market = target.str(); });
+          const BandRefresh refresh(*this);
+          trace(obs::EventKind::kSpotRequestFailed, obs::code::kNone,
+                [&](obs::TraceEvent& e) { e.market = target.str(); });
           if (!migration_) return;
           migration_.reset();
           if (reason == cloud::AllocFailure::kInsufficientCapacity &&
               !config_.retry.retries_enabled()) {
             return;  // retries-off ablation: the faulted move is just dropped
           }
-          // The chosen market evaporated; the scheduler decides whether to retry
-          // (planned: fall back to on-demand if the trigger still holds;
-          // reverse: try again next billing hour).
-          scheduler_.on_voluntary_dest_failed(cls);
-        });
+          // The chosen market evaporated; decide whether to retry (planned:
+          // fall back to on-demand if the trigger still holds; reverse: try
+          // again next billing hour).
+          on_voluntary_dest_failed(cls);
+        }));
   }
-  if (owner_ != cloud::kNoOwner) {
-    provider_.set_instance_owner(migration_->dest, owner_);
-  }
-  scheduler_.trace(obs::EventKind::kMigrationBegin, migration_code(cls),
-                   [&](obs::TraceEvent& e) {
-                     e.instance = source;
-                     if (cls == virt::MigrationClass::kPlanned) {
-                       e.aux = target.on_demand ? 1.0 : 0.0;
-                     }
-                     e.market = target.market.str();
-                   });
+  trace(obs::EventKind::kMigrationBegin, migration_code(cls), [&](obs::TraceEvent& e) {
+    e.instance = source;
+    if (cls == virt::MigrationClass::kPlanned) e.aux = target.on_demand ? 1.0 : 0.0;
+    e.market = target.market.str();
+  });
   SPOTHOST_LOG(sim::LogLevel::kInfo, clock_.now(),
                (cls == virt::MigrationClass::kReverse ? "reverse" : "planned")
                    << " migration -> " << target.market.str()
                    << (target.on_demand ? " (on-demand)" : " (spot)"));
 }
 
-void MigrationEngine::start_transfer() {
+void CloudScheduler::start_transfer() {
   if (!migration_ || !migration_->dest_ready || migration_->transfer_started) return;
-  if (scheduler_.current_instance() == cloud::kInvalidInstance) return;
+  if (!holding_) return;
   bool degrade_to_ckpt = false;
   if (auto* inj = clock_.fault_injector();
       inj && virt::uses_live_migration(config_.combo) &&
@@ -159,42 +129,39 @@ void MigrationEngine::start_transfer() {
       // Live pre-copy aborted: degrade to plain stop-and-copy on the same
       // destination (longer downtime) instead of losing the migration.
       degrade_to_ckpt = true;
-      scheduler_.trace(obs::EventKind::kDegradedMode, obs::code::kDegradeLiveToCkpt,
-                       [this](obs::TraceEvent& e) {
-                         e.instance = migration_->dest;
-                         e.market = migration_->target.str();
-                       });
+      trace(obs::EventKind::kDegradedMode, obs::code::kDegradeLiveToCkpt,
+            [this](obs::TraceEvent& e) {
+              e.instance = migration_->dest;
+              e.market = migration_->target.str();
+            });
     } else {
       const auto cls = migration_->cls;
       abandon(AbandonReason::kFault);
-      if (config_.retry.retries_enabled()) scheduler_.on_voluntary_dest_failed(cls);
+      if (config_.retry.retries_enabled()) on_voluntary_dest_failed(cls);
       return;
     }
   }
-  migration_->timings = (degrade_to_ckpt ? ckpt_planner_ : planner_)
-                            .plan(migration_->cls, spec_,
-                                  scheduler_.source_market().region,
-                                  migration_->target.region);
+  migration_->timings =
+      (degrade_to_ckpt ? ckpt_planner_ : planner_)
+          .plan(migration_->cls, spec_, source_market().region, migration_->target.region);
   migration_->transfer_started = true;
   migration_->switchover_at =
       clock_.now() + jittered(migration_->timings.prepare_s);
-  migration_->switchover_event =
-      clock_.at(migration_->switchover_at, [this] {
-        const CloudScheduler::BandRefresh refresh(scheduler_);
-        complete_switchover();
-      });
-  scheduler_.trace(obs::EventKind::kMigrationTransfer, migration_code(migration_->cls),
-                   [this](obs::TraceEvent& e) {
-                     e.instance = migration_->dest;
-                     e.value = migration_->timings.prepare_s;
-                     e.market = migration_->target.str();
-                   });
+  migration_->switchover_event = clock_.at(migration_->switchover_at, [this] {
+    const BandRefresh refresh(*this);
+    complete_switchover();
+  });
+  trace(obs::EventKind::kMigrationTransfer, migration_code(migration_->cls),
+        [this](obs::TraceEvent& e) {
+          e.instance = migration_->dest;
+          e.value = migration_->timings.prepare_s;
+          e.market = migration_->target.str();
+        });
 }
 
-void MigrationEngine::complete_switchover() {
-  if (!migration_) return;
-  const InstanceId source = scheduler_.current_instance();
-  if (source == cloud::kInvalidInstance) return;
+void CloudScheduler::complete_switchover() {
+  if (!migration_ || !holding_) return;
+  const InstanceId source = holding_->id;
   const Migration m = *migration_;
   migration_.reset();
 
@@ -211,43 +178,34 @@ void MigrationEngine::complete_switchover() {
   if (provider_.instance(source).state != cloud::InstanceState::kWarned) {
     provider_.terminate(source);
   }
-  scheduler_.on_source_released();
+  hour_check_event_.cancel();  // the released source's reverse check is stale
 
-  scheduler_.trace(obs::EventKind::kMigrationSwitchover, migration_code(m.cls),
-                   [&](obs::TraceEvent& e) {
-                     e.instance = m.dest;
-                     e.value = sim::to_seconds(downtime);
-                     e.aux = sim::to_seconds(degraded);
-                     e.market = m.target.str();
-                   });
+  trace(obs::EventKind::kMigrationSwitchover, migration_code(m.cls),
+        [&](obs::TraceEvent& e) {
+          e.instance = m.dest;
+          e.value = sim::to_seconds(downtime);
+          e.aux = sim::to_seconds(degraded);
+          e.market = m.target.str();
+        });
   if (m.cls != virt::MigrationClass::kReverse && !m.target_on_demand) {
-    scheduler_.trace(obs::EventKind::kMarketSwitch, obs::code::kNone,
-                     [&](obs::TraceEvent& e) {
-                       e.instance = m.dest;
-                       e.market = m.target.str();
-                     });
+    trace(obs::EventKind::kMarketSwitch, obs::code::kNone, [&](obs::TraceEvent& e) {
+      e.instance = m.dest;
+      e.market = m.target.str();
+    });
   }
 
   if (downtime > 0 && service_.is_up()) {
     service_.begin_outage(clock_.now(), cause);
     clock_.after(downtime, [this, degraded] {
-      const CloudScheduler::BandRefresh refresh(scheduler_);
+      const BandRefresh refresh(*this);
       if (forced_) return;  // a forced flow took over mid-switchover
-      if (!service_.is_up()) {
-        service_.end_outage(clock_.now(), degraded > 0);
-        if (degraded > 0) {
-          clock_.after(degraded, [this] {
-            const CloudScheduler::BandRefresh refresh_after_degraded(scheduler_);
-            service_.end_degraded(clock_.now());
-          });
-        }
-      }
+      service_back_up(degraded);
     });
   }
-  scheduler_.adopt(m.dest, m.target, m.target_on_demand);
+  adopt(m.dest, m.target, m.target_on_demand);
 }
 
-void MigrationEngine::abandon(AbandonReason reason) {
+void CloudScheduler::abandon(AbandonReason reason) {
   if (!migration_) return;
   migration_->switchover_event.cancel();
   if (migration_->dest != cloud::kInvalidInstance) {
@@ -263,110 +221,79 @@ void MigrationEngine::abandon(AbandonReason reason) {
     case AbandonReason::kFault: code = obs::code::kAbandonFault; break;
   }
   // The event reads migration_, so it is traced before the reset.
-  scheduler_.trace(obs::EventKind::kMigrationAbandon, code, [this](obs::TraceEvent& e) {
+  trace(obs::EventKind::kMigrationAbandon, code, [this](obs::TraceEvent& e) {
     e.instance = migration_->dest;
     e.market = migration_->target.str();
   });
   migration_.reset();
 }
 
-std::optional<virt::MigrationClass> MigrationEngine::dest_warned(InstanceId instance) {
-  if (!migration_ || instance != migration_->dest) return std::nullopt;
-  const auto cls = migration_->cls;
-  abandon(AbandonReason::kDestRevoked);
-  return cls;
-}
-
 // ---------------------------------------------------------------------------
 // Forced migrations
 // ---------------------------------------------------------------------------
 
-InstanceId MigrationEngine::request_forced_dest(const MarketId& od_market) {
-  const InstanceId iid = provider_.request_on_demand(
+InstanceId CloudScheduler::request_forced_dest(const MarketId& od_market) {
+  return owned(provider_.request_on_demand(
       od_market,
       [this](InstanceId granted) {
-        const CloudScheduler::BandRefresh refresh(scheduler_);
+        const BandRefresh refresh(*this);
         if (!forced_ || forced_->dest != granted) return;
         forced_->dest_ready = true;
-        forced_->dest_ready_at = clock_.now();
         forced_try_resume();
       },
       [this](cloud::AllocFailure) {
-        const CloudScheduler::BandRefresh refresh(scheduler_);
+        const BandRefresh refresh(*this);
         on_forced_dest_failed();
-      });
-  if (owner_ != cloud::kNoOwner) provider_.set_instance_owner(iid, owner_);
-  return iid;
+      }));
 }
 
-void MigrationEngine::on_forced_dest_failed() {
+void CloudScheduler::on_forced_dest_failed() {
   if (!forced_) return;
   forced_->dest = cloud::kInvalidInstance;
-  const int attempt = ++forced_->dest_attempts;
-  const RetryPolicy& retry = config_.retry;
-  double delay_s = 0.0;
-  if (retry.retries_enabled() && attempt <= retry.max_attempts) {
-    delay_s = retry.backoff_s(attempt);
-  } else if (retry.graceful_degradation) {
-    // Retry budget spent: announce degraded mode once, then keep polling at
-    // the backoff cap — the service eventually comes back, just slowly.
-    if (!forced_->degraded) {
-      forced_->degraded = true;
-      scheduler_.trace(obs::EventKind::kDegradedMode, obs::code::kDegradeSlowRetry,
-                       [this](obs::TraceEvent& e) { e.market = forced_->od_market.str(); });
-    }
-    delay_s = retry.backoff_max_s;
-  } else {
-    // Retries off, no degradation: the forced flow stays stuck with the
-    // service down — the retries-off ablation arm measures exactly this.
+  const auto delay = next_retry(forced_->dest_attempts, forced_->degraded,
+                                forced_->od_market, obs::code::kRetryForcedDest);
+  if (!delay) {
+    // The forced flow stays stuck with the service down — the retries-off
+    // ablation arm measures exactly this.
     SPOTHOST_LOG(sim::LogLevel::kWarn, clock_.now(),
                  "forced replacement in " << forced_->od_market.str()
                      << " failed; retries disabled, giving up");
     return;
   }
-  scheduler_.trace(obs::EventKind::kRetryScheduled, obs::code::kRetryForcedDest,
-                   [&](obs::TraceEvent& e) {
-                     e.value = static_cast<double>(attempt);
-                     e.aux = delay_s;
-                     e.market = forced_->od_market.str();
-                   });
-  clock_.after(sim::from_seconds(delay_s), [this] {
-    const CloudScheduler::BandRefresh refresh(scheduler_);
+  clock_.after(*delay, [this] {
+    const BandRefresh refresh(*this);
     if (!forced_ || forced_->dest != cloud::kInvalidInstance) return;
     forced_->dest = request_forced_dest(forced_->od_market);
   });
 }
 
-void MigrationEngine::begin_forced(SimTime t_term, InstanceId source,
-                                   const MarketId& source_market) {
-  scheduler_.trace(obs::EventKind::kMigrationBegin, obs::code::kForced,
-                   [&](obs::TraceEvent& e) {
-                     e.instance = source;
-                     e.value = sim::to_seconds(t_term);
-                     e.market = source_market.str();
-                   });
-  scheduler_.on_forced_begin();
+void CloudScheduler::begin_forced(SimTime t_term) {
+  const MarketId& from = holding_->market;
+  trace(obs::EventKind::kMigrationBegin, obs::code::kForced, [&](obs::TraceEvent& e) {
+    e.instance = holding_->id;
+    e.value = sim::to_seconds(t_term);
+    e.market = from.str();
+  });
+  planned_begin_event_.cancel();  // the forced flow supersedes a planned timer
 
   Forced f;
   f.t_term = t_term;
-  f.timings = planner_.plan(virt::MigrationClass::kForced, spec_,
-                            source_market.region, source_market.region);
+  f.timings = planner_.plan(virt::MigrationClass::kForced, spec_, from.region, from.region);
 
   // Reuse an in-flight destination in the same region; otherwise release it
   // and request a fresh on-demand server here.
   if (migration_ && migration_->dest != cloud::kInvalidInstance &&
-      migration_->target.region == source_market.region) {
+      migration_->target.region == from.region) {
     migration_->switchover_event.cancel();
     f.dest = migration_->dest;
     f.dest_ready = migration_->dest_ready;
-    if (f.dest_ready) f.dest_ready_at = clock_.now();
     migration_.reset();
   } else {
     if (migration_) abandon(AbandonReason::kPreempted);
   }
   forced_ = f;
 
-  const MarketId od_market{source_market.region, config_.home_market.size};
+  const MarketId od_market{from.region, config_.home_market.size};
   forced_->od_market = od_market;
   if (forced_->dest == cloud::kInvalidInstance) {
     forced_->dest = request_forced_dest(od_market);
@@ -382,30 +309,32 @@ void MigrationEngine::begin_forced(SimTime t_term, InstanceId source,
   const SimTime t_stop = std::max(clock_.now(),
                                   t_term - sim::from_seconds(forced_->timings.flush_s));
   clock_.at(t_stop, [this] {
-    const CloudScheduler::BandRefresh refresh(scheduler_);
+    const BandRefresh refresh(*this);
     if (!forced_) return;
     if (service_.is_up()) {
-      service_.begin_outage(clock_.now(),
-                            workload::OutageCause::kForcedMigration);
+      service_.begin_outage(clock_.now(), workload::OutageCause::kForcedMigration);
     }
     forced_->service_stopped = true;
-    scheduler_.trace(obs::EventKind::kMigrationTransfer, obs::code::kForced,
-                     [this](obs::TraceEvent& e) {
-                       e.value = forced_->timings.flush_s;  // the bounded checkpoint flush
-                     });
+    trace(obs::EventKind::kMigrationTransfer, obs::code::kForced,
+          [this](obs::TraceEvent& e) {
+            e.value = forced_->timings.flush_s;  // the bounded checkpoint flush
+          });
     forced_try_resume();
   });
   clock_.at(t_term, [this] {
-    const CloudScheduler::BandRefresh refresh(scheduler_);
+    const BandRefresh refresh(*this);
     if (!forced_) return;
-    scheduler_.on_source_lost();
+    // The provider terminated the source: the service has no home until the
+    // forced flow resumes it.
+    holding_.reset();
+    state_ = State::kDown;
     forced_try_resume();
   });
   SPOTHOST_LOG(sim::LogLevel::kInfo, clock_.now(),
                "forced migration, termination at " << sim::format_time(t_term));
 }
 
-void MigrationEngine::forced_try_resume() {
+void CloudScheduler::forced_try_resume() {
   if (!forced_ || forced_->resume_scheduled) return;
   if (!forced_->service_stopped || !forced_->dest_ready) return;
   if (clock_.now() < forced_->t_term) return;  // source not gone yet
@@ -423,40 +352,32 @@ void MigrationEngine::forced_try_resume() {
         // Absorb the stalled tail as degraded time (lazy-restore style): the
         // service comes up on schedule and back-fills slowly.
         degraded += stall;
-        scheduler_.trace(obs::EventKind::kDegradedMode, obs::code::kDegradeStallAbsorbed,
-                         [&](obs::TraceEvent& e) {
-                           e.instance = forced_->dest;
-                           e.value = sim::to_seconds(stall);
-                           e.market = dest_market.str();
-                         });
+        trace(obs::EventKind::kDegradedMode, obs::code::kDegradeStallAbsorbed,
+              [&](obs::TraceEvent& e) {
+                e.instance = forced_->dest;
+                e.value = sim::to_seconds(stall);
+                e.market = dest_market.str();
+              });
       } else {
         restore += stall;  // the outage holds until the full transfer lands
       }
     }
   }
   clock_.after(restore, [this, restore, degraded] {
-    const CloudScheduler::BandRefresh refresh(scheduler_);
+    const BandRefresh refresh(*this);
     if (!forced_) return;
-    const Forced f = *forced_;
+    const InstanceId dest = forced_->dest;
     forced_.reset();
-    if (!service_.is_up()) {
-      service_.end_outage(clock_.now(), degraded > 0);
-      if (degraded > 0) {
-        clock_.after(degraded, [this] {
-          const CloudScheduler::BandRefresh refresh_after_degraded(scheduler_);
-          service_.end_degraded(clock_.now());
-        });
-      }
-    }
-    const auto& inst = provider_.instance(f.dest);
-    scheduler_.trace(obs::EventKind::kMigrationSwitchover, obs::code::kForced,
-                     [&](obs::TraceEvent& e) {
-                       e.instance = f.dest;
-                       e.value = sim::to_seconds(restore);
-                       e.aux = sim::to_seconds(degraded);
-                       e.market = inst.market.str();
-                     });
-    scheduler_.adopt(f.dest, inst.market, inst.mode == cloud::BillingMode::kOnDemand);
+    service_back_up(degraded);
+    const auto& inst = provider_.instance(dest);
+    trace(obs::EventKind::kMigrationSwitchover, obs::code::kForced,
+          [&](obs::TraceEvent& e) {
+            e.instance = dest;
+            e.value = sim::to_seconds(restore);
+            e.aux = sim::to_seconds(degraded);
+            e.market = inst.market.str();
+          });
+    adopt(dest, inst.market, inst.mode == cloud::BillingMode::kOnDemand);
   });
 }
 

@@ -1,8 +1,8 @@
 // The narrow scheduling interface policy code programs against.
 //
-// Schedulers, migration engines, and watchers need exactly four things from
-// the engine: the current time, a way to schedule at an absolute or relative
-// time, and a way to cancel. Clock is that contract. Two engines implement
+// Schedulers need exactly four things from the engine: the current time, a
+// way to schedule at an absolute or relative time, and a way to cancel.
+// Clock is that contract. Two engines implement
 // it — sim::Simulation (virtual time, simcore/simulation.hpp) and
 // live::WallClock (wall time / paced replay, live/wall_clock.hpp) — and
 // policy code holds a Clock& so the same scheduler runs a backtest or a live

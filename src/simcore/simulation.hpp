@@ -85,7 +85,7 @@ class Simulation final : public Engine {
   /// Attaches the run's fault-injection source (not owned; nullptr = no
   /// injection). Mirrors set_tracer: components holding a Clock& read the
   /// injector from here, so one attach point covers the provider and the
-  /// migration engine without constructor plumbing. An injector with an
+  /// scheduler without constructor plumbing. An injector with an
   /// empty FaultPlan is equivalent to none (zero draws, zero events).
   void set_fault_injector(faults::FaultInjector* injector) noexcept override {
     fault_injector_ = injector;

@@ -50,7 +50,6 @@
 #include "sched/market_selection.hpp"
 #include "sched/market_traces.hpp"
 #include "sched/market_watcher.hpp"
-#include "sched/migration_engine.hpp"
 #include "sched/placement.hpp"
 #include "sched/policy_zoo.hpp"
 #include "sched/scheduler.hpp"

@@ -15,6 +15,16 @@ namespace {
   throw std::runtime_error(oss.str());
 }
 
+/// One std::from_chars number spanning all of `field`: the live feed's
+/// grammar, so a blank or '+' in front, a hex float or a byte after the
+/// number rejects the field.
+template <class T>
+bool parse_field(const std::string& field, T& out) {
+  const char* end = field.data() + field.size();
+  const auto [p, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc{} && p == end;
+}
+
 }  // namespace
 
 void save_csv(const PriceTrace& trace, std::ostream& out) {
@@ -56,10 +66,7 @@ PriceTrace load_csv(std::istream& in) {
     const std::string rhs = line.substr(comma + 1);
     if (lhs == "end") {
       sim::SimTime end = 0;
-      const auto [p, ec] = std::from_chars(rhs.data(), rhs.data() + rhs.size(), end);
-      if (ec != std::errc{} || p != rhs.data() + rhs.size()) {
-        fail(line_no, "bad end timestamp: " + rhs);
-      }
+      if (!parse_field(rhs, end)) fail(line_no, "bad end timestamp: " + rhs);
       try {
         trace.set_end(end);
       } catch (const std::invalid_argument& e) {
@@ -70,20 +77,9 @@ PriceTrace load_csv(std::istream& in) {
     }
     if (saw_end) fail(line_no, "data after end marker");
     sim::SimTime t = 0;
-    {
-      const auto [p, ec] = std::from_chars(lhs.data(), lhs.data() + lhs.size(), t);
-      if (ec != std::errc{} || p != lhs.data() + lhs.size()) {
-        fail(line_no, "bad timestamp: " + lhs);
-      }
-    }
+    if (!parse_field(lhs, t)) fail(line_no, "bad timestamp: " + lhs);
     double price = 0.0;
-    try {
-      std::size_t consumed = 0;
-      price = std::stod(rhs, &consumed);
-      if (consumed != rhs.size()) fail(line_no, "trailing junk in price: " + rhs);
-    } catch (const std::logic_error&) {
-      fail(line_no, "bad price: " + rhs);
-    }
+    if (!parse_field(rhs, price)) fail(line_no, "bad price: " + rhs);
     try {
       trace.append(t, price);
     } catch (const std::invalid_argument& e) {

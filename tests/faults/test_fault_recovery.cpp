@@ -4,11 +4,14 @@
 // are either scheduled at exact opportunity indices or armed at rate 1.0.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/jsonl_sink.hpp"
+#include "obs/ring_sink.hpp"
 #include "obs/sink.hpp"
 #include "simcore/simulation.hpp"
 #include "spothost.hpp"
@@ -224,6 +227,91 @@ TEST_F(WarningFaultTest, DelayedWarningShrinksTheGraceWindow) {
   EXPECT_EQ(*warned_at_, 2 * sim::kHour + 60 * sim::kSecond);
   EXPECT_EQ(*term_time_, 2 * sim::kHour + 120 * sim::kSecond);
   EXPECT_EQ(*state_at_warning_, cloud::InstanceState::kWarned);
+}
+
+TEST_F(WarningFaultTest, ForcedReplacementLadderBacksOffThenPollsUntilAGrant) {
+  // The 2 h spike revokes a reactive scheduler's spot server. Capacity
+  // opportunity 1 is that server's grant; the next max_attempts + 2 are the
+  // forced flow's on-demand replacements, and every one of them fails: the
+  // budget's backoff rungs, then two slow polls in degraded mode. The
+  // replacement after them is granted and the service resumes on it.
+  const sched::RetryPolicy retry;  // 3 attempts, 20 s doubling, 300 s cap
+  const int failures = retry.max_attempts + 2;
+  FaultPlan plan;
+  for (int n = 2; n <= failures + 1; ++n) {
+    plan.at_opportunity(FaultKind::kAllocInsufficientCapacity,
+                        static_cast<std::uint64_t>(n));
+  }
+  injector_.emplace(sim_, rng_, plan);
+  sim_.set_fault_injector(&*injector_);
+  obs::RingBufferSink sink;
+  obs::Tracer tracer;
+  tracer.add_sink(&sink);
+  sim_.set_tracer(&tracer);
+
+  sched::SchedulerConfig cfg = sched::reactive_config(kSmallEast);
+  cfg.retry = retry;
+  cfg.timing_jitter_cv = 0.0;
+  workload::AlwaysOnService service("hosted-service", virt::VmSpec{});
+  sched::MarketWatcher watcher(provider_);
+  sched::CloudScheduler scheduler(sim_, provider_, watcher, service, cfg,
+                                  rng_.stream("scheduler-timing"));
+  scheduler.start();
+  sim_.run_until(5 * sim::kHour);
+
+  std::vector<obs::TraceEvent> retries;
+  std::vector<std::size_t> retry_at;  // positions in the trace
+  std::vector<std::size_t> degraded_at;
+  std::optional<obs::TraceEvent> resumed;
+  const auto events = sink.events();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const obs::TraceEvent& e = events[i];
+    if (e.kind == obs::EventKind::kRetryScheduled) {
+      EXPECT_EQ(e.code, obs::code::kRetryForcedDest);
+      retries.push_back(e);
+      retry_at.push_back(i);
+    } else if (e.kind == obs::EventKind::kDegradedMode) {
+      EXPECT_EQ(e.code, obs::code::kDegradeSlowRetry);
+      degraded_at.push_back(i);
+    } else if (e.kind == obs::EventKind::kMigrationSwitchover &&
+               e.code == obs::code::kForced && !resumed) {
+      resumed = e;
+    }
+  }
+  ASSERT_EQ(retries.size(), static_cast<std::size_t>(failures));
+  const sim::SimTime od_latency = 90 * sim::kSecond;
+  EXPECT_EQ(retries[0].t, 2 * sim::kHour + od_latency);  // the first replacement
+  for (int n = 1; n <= failures; ++n) {
+    SCOPED_TRACE(n);
+    const obs::TraceEvent& e = retries[static_cast<std::size_t>(n - 1)];
+    EXPECT_EQ(e.value, static_cast<double>(n));
+    EXPECT_EQ(e.aux, n <= retry.max_attempts ? retry.backoff_s(n) : retry.backoff_max_s);
+    EXPECT_EQ(e.market, kSmallEast.str());
+    if (n > 1) {
+      // Each rung re-requests after its delay; the request fails on grant.
+      const obs::TraceEvent& before = retries[static_cast<std::size_t>(n - 2)];
+      EXPECT_EQ(e.t, before.t + sim::from_seconds(before.aux) + od_latency);
+    }
+  }
+  // Degraded mode is announced once, just before the first rung past the
+  // budget.
+  ASSERT_EQ(degraded_at.size(), 1u);
+  const std::size_t first_slow = static_cast<std::size_t>(retry.max_attempts);
+  EXPECT_EQ(degraded_at[0] + 1, retry_at[first_slow]);
+  EXPECT_EQ(events[degraded_at[0]].t, retries[first_slow].t);
+  EXPECT_EQ(events[degraded_at[0]].market, kSmallEast.str());
+
+  // The request after the last slow poll is granted, and the forced flow
+  // resumes the service on it.
+  ASSERT_TRUE(resumed.has_value());
+  const sim::SimTime granted =
+      retries.back().t + sim::from_seconds(retry.backoff_max_s) + od_latency;
+  EXPECT_GE(resumed->t, granted);
+  EXPECT_EQ(provider_.instance(resumed->instance).requested_at,
+            granted - od_latency);
+  EXPECT_EQ(provider_.instance(resumed->instance).mode, cloud::BillingMode::kOnDemand);
+  EXPECT_EQ(injector_->injected_total(), static_cast<std::uint64_t>(failures));
+  EXPECT_EQ(scheduler.stats().degraded_entries, 1);
 }
 
 }  // namespace

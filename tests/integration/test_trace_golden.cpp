@@ -1,5 +1,5 @@
 // Golden-trace regression: the layered scheduler (watcher / placement /
-// migration engine) must be bit-for-bit behaviour-preserving. This pins the
+// migrations) must be bit-for-bit behaviour-preserving. This pins the
 // full JSONL event trace of one proactive multi-market run — every event,
 // every field, every ordering decision — to an FNV-1a hash captured from the
 // pre-decomposition monolithic CloudScheduler. Any change to trigger fan-out

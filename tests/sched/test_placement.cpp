@@ -2,7 +2,7 @@
 // ScopedPlacementPolicy's selection rules and, as the extension-point proof,
 // a toy "always-cheapest-region" policy plugged in through
 // SchedulerConfig::placement and exercised end-to-end through a CloudScheduler
-// run without touching scheduler or migration-engine internals.
+// run without touching scheduler internals.
 #include "sched/placement.hpp"
 
 #include <gtest/gtest.h>
@@ -196,7 +196,7 @@ TEST_F(PlacementTest, ScopedOnDemandFallsBackToQueryRegion) {
 }
 
 // The extension-point proof: a custom policy changes WHERE the scheduler
-// goes, end to end, with zero changes to CloudScheduler or MigrationEngine.
+// goes, end to end, with zero changes to CloudScheduler.
 TEST_F(PlacementTest, CustomPolicyDrivesInitialAcquisitionEndToEnd) {
   // Home spot costs 0.05; the away region sits at 0.01 the whole run. The
   // default single-market proactive config would stay home; the toy policy

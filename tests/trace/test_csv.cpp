@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace spothost::trace {
 namespace {
@@ -135,6 +136,47 @@ TEST(Csv, EndBeforeLastPointNamesItsLine) {
     EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos) << e.what();
     EXPECT_NE(std::string(e.what()).find("end before last point"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Csv, PriceGrammarMatchesTheFeed) {
+  // The price column takes what FileTailFeed takes: one number spanning the
+  // field, positive and finite.
+  struct Case {
+    const char* field;
+    bool accepted;
+    double price;
+  };
+  const Case cases[] = {
+      {"0.05", true, 0.05},
+      {"1", true, 1.0},
+      {"2.5e-1", true, 0.25},
+      {"2.5E-1", true, 0.25},
+      {".5", true, 0.5},
+      {"5.", true, 5.0},
+      {" 0.05", false, 0.0},
+      {"\t0.05", false, 0.0},
+      {"+0.05", false, 0.0},
+      {"0x1p-4", false, 0.0},
+      {"0.05 ", false, 0.0},
+      {"0.05abc", false, 0.0},
+      {"", false, 0.0},
+      {"inf", false, 0.0},
+      {"nan", false, 0.0},
+      {"1e400", false, 0.0},
+      {"0", false, 0.0},
+      {"-0.05", false, 0.0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    std::stringstream ss(std::string("time_ms,price_per_hour\n0,") + c.field + "\n");
+    if (!c.accepted) {
+      EXPECT_THROW(load_csv(ss), std::runtime_error);
+      continue;
+    }
+    const auto t = load_csv(ss);
+    ASSERT_EQ(t.size(), 1u);
+    EXPECT_EQ(t.points()[0].price, c.price);
   }
 }
 
