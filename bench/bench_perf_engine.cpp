@@ -1,5 +1,6 @@
 // Engine performance microbenchmarks (google-benchmark): event-queue
-// throughput, synthetic trace generation and memoization, complete hosting
+// throughput, the hold model over both queues a Simulation runs on,
+// synthetic trace generation and memoization, complete hosting
 // runs, a price-replay month, a storm fleet-month with and without a trace
 // sink, and the serve feed reader.
 #include <benchmark/benchmark.h>
@@ -7,8 +8,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <vector>
 
+#include "simcore/binary_heap_queue.hpp"
 #include "simcore/timing_wheel.hpp"
 #include "spothost.hpp"
 
@@ -45,6 +49,47 @@ void BM_EventQueueCancellation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueCancellation);
+
+// The hold model over both queues a Simulation runs on: the heap it starts
+// with and the wheel it moves to past Simulation::kHeapMaxPending. Each
+// iteration pops the earliest event and reschedules it one delay later, so
+// the queue stays at `pending` live events; the time per item is one
+// event's queue work. Delays are drawn before timing starts: `hourly:0` is
+// price-step-like (exponential, mean 5 min), `hourly:1` hour-tick-like
+// (exactly one hour, first phases uniform over the first hour).
+template <class Queue>
+void BM_QueueHold(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  const bool hourly = state.range(1) != 0;
+  constexpr std::size_t kDelays = 4096;  // a power of two, cycled through
+  sim::RngStream rng(7);
+  std::vector<sim::SimTime> delays(kDelays, sim::kHour);
+  if (!hourly) {
+    for (auto& d : delays) {
+      d = 1 + static_cast<sim::SimTime>(rng.exponential(5.0 * sim::kMinute));
+    }
+  }
+  Queue q;
+  for (std::size_t i = 0; i < pending; ++i) {
+    q.schedule(hourly ? rng.uniform_int(0, sim::kHour - 1) : delays[i % kDelays],
+               [] {});
+  }
+  sim::EventQueue::Fired fired;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    q.pop_due(std::numeric_limits<sim::SimTime>::max(), fired);
+    benchmark::DoNotOptimize(fired.time);
+    q.schedule(fired.time + delays[next], [] {});
+    next = (next + 1) & (kDelays - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_TEMPLATE(BM_QueueHold, sim::BinaryHeapQueue)
+    ->ArgNames({"pending", "hourly"})
+    ->ArgsProduct({benchmark::CreateRange(4, 16384, 2), {0, 1}});
+BENCHMARK_TEMPLATE(BM_QueueHold, sim::TimingWheelQueue)
+    ->ArgNames({"pending", "hourly"})
+    ->ArgsProduct({benchmark::CreateRange(4, 16384, 2), {0, 1}});
 
 void BM_SyntheticTraceMonth(benchmark::State& state) {
   sim::RngFactory factory(7);

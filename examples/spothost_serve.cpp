@@ -1,8 +1,8 @@
 // spothost_serve — the serving front end: one codebase, two clocks.
 //
 // Runs the exact policy layer the simulator runs — provider, markets,
-// scheduler, migration engine — against a price feed file, on the engine of
-// your choice:
+// scheduler and its migrations — against a price feed file, on the engine
+// of your choice:
 //
 //   --mode sim     load the feed into price traces and run the discrete-event
 //                  Simulation (the backtest; reference output)

@@ -6,9 +6,10 @@
 #     simulation engine. Only the experiment/session layer (metrics/, live/
 #     session wiring, examples, tests, benches) may include simulation.hpp.
 #  2. Only simcore owns an event queue: no src/ file outside src/simcore/
-#     includes the queue contract, the timing wheel, or the event arena.
-#  3. Test-only code (the binary-heap oracle, fixtures) stays in tests/:
-#     nothing under src/, bench/ or examples/ includes a tests/ header.
+#     includes the queue contract, the binary heap, the timing wheel, or
+#     the event arena.
+#  3. Test-only code (fixtures, test peers) stays in tests/: nothing under
+#     src/, bench/ or examples/ includes a tests/ header.
 #  4. The watcher's deliver-to-all oracle is reachable from tests/ only:
 #     its test peer (MarketWatcherTestPeer) is named nowhere under src/,
 #     bench/ or examples/ except in MarketWatcher's friend declaration.
@@ -33,7 +34,7 @@ for layer in src/sched src/virt src/cloud; do
 done
 
 if matches=$(grep -rn --include='*.hpp' --include='*.cpp' -E \
-    "${include}.*simcore/(event_queue|timing_wheel|event_arena)\.hpp" \
+    "${include}.*simcore/(event_queue|binary_heap_queue|timing_wheel|event_arena)\.hpp" \
     src | grep -v '^src/simcore/'); then
   echo "LAYERING VIOLATION: only src/simcore/ may include an event-queue" \
        "header; schedule through sim::Clock / sim::Engine instead:"

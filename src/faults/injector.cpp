@@ -13,9 +13,12 @@ FaultInjector::FaultInjector(sim::Clock& clock, const sim::RngFactory& rng,
                              FaultPlan plan)
     : clock_(clock), plan_(std::move(plan)) {
   plan_.validate();
-  streams_.reserve(kFaultKindCount);
   for (const FaultKind kind : kAllFaultKinds) {
-    streams_.push_back(rng.stream("faults/" + std::string(to_string(kind))));
+    const auto k = static_cast<std::size_t>(kind);
+    if (plan_.rate[k] > 0.0) {
+      streams_[k] = std::make_unique<sim::RngStream>(
+          rng.stream("faults/" + std::string(to_string(kind))));
+    }
   }
   for (const auto& [kind, n] : plan_.scheduled) {
     scheduled_[static_cast<std::size_t>(kind)].push_back(n);
@@ -37,7 +40,7 @@ std::uint64_t FaultInjector::decide(FaultKind kind) {
   // anyway — so the kind's stream position depends only on its opportunity
   // count, never on the scheduled set.
   bool hit = false;
-  if (plan_.rate[k] > 0.0) hit = streams_[k].chance(plan_.rate[k]);
+  if (plan_.rate[k] > 0.0) hit = streams_[k]->chance(plan_.rate[k]);
   if (!hit && std::binary_search(scheduled_[k].begin(), scheduled_[k].end(), n)) {
     hit = true;
   }

@@ -23,6 +23,7 @@
 #include <array>
 #include <concepts>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,8 +35,9 @@ namespace spothost::faults {
 
 class FaultInjector {
  public:
-  /// Validates and captures the plan; derives one RNG stream per armed kind
-  /// from `rng` (stream names "faults/<kind>").
+  /// Validates and captures the plan; derives one RNG stream per kind with
+  /// a nonzero rate from `rng` (stream names "faults/<kind>"). Streams are
+  /// keyed by name, so skipping an unarmed kind moves no other draw.
   FaultInjector(sim::Clock& clock, const sim::RngFactory& rng,
                 FaultPlan plan);
 
@@ -78,7 +80,8 @@ class FaultInjector {
 
   sim::Clock& clock_;
   FaultPlan plan_;
-  std::vector<sim::RngStream> streams_;  ///< one per kind, in enum order
+  /// Per kind, in enum order; null unless the kind's rate is nonzero.
+  std::array<std::unique_ptr<sim::RngStream>, kFaultKindCount> streams_;
   /// 1-based opportunity indices scheduled to fail, per kind, sorted.
   std::array<std::vector<std::uint64_t>, kFaultKindCount> scheduled_;
   std::array<std::uint64_t, kFaultKindCount> opportunities_{};

@@ -1,4 +1,4 @@
-#include "binary_heap_queue.hpp"
+#include "simcore/binary_heap_queue.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -70,6 +70,11 @@ bool BinaryHeapQueue::pop_due(SimTime horizon, Fired& out) {
   out.callback = arena_.take(top.slot);
   arena_.release(top.slot);
   return true;
+}
+
+EventArena BinaryHeapQueue::take_arena() {
+  heap_ = std::vector<Entry>();
+  return std::exchange(arena_, EventArena());
 }
 
 void BinaryHeapQueue::clear() {

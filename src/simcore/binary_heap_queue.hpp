@@ -1,7 +1,11 @@
-// The binary-heap EventQueue: the differential-testing oracle for the
-// production timing wheel (simcore/timing_wheel.hpp). Built only into the
-// tests — the contract suite and the lockstep fuzz drive both queues through
-// the EventQueue interface and require identical answers.
+// The binary-heap EventQueue: the queue every Simulation starts on, and the
+// differential-testing oracle for the timing wheel (simcore/timing_wheel.hpp).
+// A run holds a handful of live events (a one-service month: 4 to 12), where
+// an O(log n) sift over a few contiguous entries beats the wheel's bucket
+// filing and cascades; Simulation hands the arena to the wheel once a run
+// outgrows kHeapMaxPending (simulation.hpp). The contract suite and the
+// lockstep fuzz drive both queues through the EventQueue interface and
+// require identical answers.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +35,12 @@ class BinaryHeapQueue final : public EventQueue {
   /// Total heap entries, live + cancelled-but-not-yet-dropped. Exposed so
   /// tests can assert compaction keeps this bounded relative to size().
   [[nodiscard]] std::size_t heap_entries() const noexcept { return heap_.size(); }
+
+  /// Gives up every pending event: returns the arena (slots, generations,
+  /// sequence counter) for another backend to file, and leaves this queue
+  /// empty, as if newly built. Ids issued so far are valid only through the
+  /// returned arena.
+  [[nodiscard]] EventArena take_arena();
 
  private:
   struct Entry {

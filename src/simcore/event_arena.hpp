@@ -1,4 +1,7 @@
-// Dense slab storage for pending events, shared by every queue backend.
+// Dense slab storage for pending events, shared by every queue backend, and
+// handed whole from one backend to the next when a Simulation outgrows its
+// heap (simulation.hpp): slots, generations and the sequence counter move
+// together, so every id issued before the hand-over stays valid.
 //
 // Events live in one array of fixed-size Slot records indexed by a 32-bit
 // slot number; slots are recycled through a free list, and each carries a
@@ -133,6 +136,17 @@ class EventArena {
   /// Total slots ever allocated (live + recyclable). Backends size their
   /// per-slot side tables off this.
   [[nodiscard]] std::size_t slots() const noexcept { return slots_.size(); }
+
+  /// Calls f(slot) for every live slot, in slot order. O(slots): for a
+  /// backend taking over another's arena, not for the dispatch path.
+  template <class F>
+  void for_each_live(F&& f) const {
+    std::vector<bool> free(slots_.size());
+    for (const std::uint32_t slot : free_) free[slot] = true;
+    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+      if (!free[slot]) f(slot);
+    }
+  }
 
   /// Releases everything. Generations survive (bumped for every slot), so
   /// ids issued before clear() still fail validation rather than aliasing.

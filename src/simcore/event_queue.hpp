@@ -1,24 +1,30 @@
 // Cancellable discrete-event queue: the contract two implementations share.
 //
 // EventQueue is implemented over the shared EventArena slab
-// (simcore/event_arena.hpp) twice:
+// (simcore/event_arena.hpp) twice, and a Simulation runs on both:
 //
+//   * BinaryHeapQueue (simcore/binary_heap_queue.hpp) — the classic
+//     O(log n) heap. Every run starts on it: a one-service month holds a
+//     handful of events, where a sift beats the wheel's bucket work. It is
+//     also the wheel's differential oracle.
 //   * TimingWheelQueue (simcore/timing_wheel.hpp) — hierarchical timing
 //     wheel, O(1) schedule/cancel/pop for the massively periodic hour-tick
-//     and poll events that dominate fleet runs. The only production queue:
-//     Simulation holds one by value, so the dispatch loop makes no virtual
-//     queue call.
-//   * the binary heap (tests/simcore/binary_heap_queue.hpp) — the classic
-//     O(log n) heap, built only into the tests as the differential oracle.
+//     and poll events that dominate fleet runs. A run moves to it, taking
+//     the heap's arena, once its live events exceed
+//     Simulation::kHeapMaxPending.
+//
+// The Simulation holds both as their final types, so the dispatch loop
+// makes no virtual queue call.
 //
 // Determinism contract (both implementations, enforced by the contract
-// suite and the lockstep differential fuzz in tests/simcore): events pop in
-// (time, schedule order) — FIFO among equal timestamps — so same-seed runs
-// are byte-identical and the wheel's answers can be checked against the
-// simple heap's.
+// suite and the lockstep differential tests in tests/simcore): events pop
+// in (time, schedule order) — FIFO among equal timestamps — so same-seed
+// runs are byte-identical whichever queue they run on, and the wheel's
+// answers can be checked against the simple heap's.
 //
 // Only simcore owns a queue: scripts/check_layering.sh fails if a src/ file
-// outside src/simcore/ includes this header, the wheel's, or the arena's.
+// outside src/simcore/ includes this header, the heap's, the wheel's, or
+// the arena's.
 #pragma once
 
 #include <cstddef>

@@ -6,23 +6,37 @@
 
 namespace spothost::sim {
 
+EventId Simulation::schedule(SimTime when, Callback&& cb) {
+  if (wheel_) return wheel_->schedule(when, std::move(cb));
+  const EventId id = heap_.schedule(when, std::move(cb));
+  if (heap_.size() > kHeapMaxPending) {
+    // Every live event is at or after now_, so the wheel can file them all
+    // relative to it; their ids and sequences move with the arena.
+    wheel_ = std::make_unique<TimingWheelQueue>(heap_.take_arena(), now_);
+  }
+  return id;
+}
+
 EventHandle Simulation::at(SimTime when, Callback cb) {
   if (when < now_) {
     throw std::invalid_argument("Simulation::at: scheduling in the past");
   }
-  return EventHandle{this, queue_.schedule(when, std::move(cb))};
+  return EventHandle{this, schedule(when, std::move(cb))};
 }
 
 EventHandle Simulation::after(SimTime delay, Callback cb) {
   if (delay < 0) {
     throw std::invalid_argument("Simulation::after: negative delay");
   }
-  return EventHandle{this, queue_.schedule(now_ + delay, std::move(cb))};
+  return EventHandle{this, schedule(now_ + delay, std::move(cb))};
 }
 
 void Simulation::run_until(SimTime horizon) {
   EventQueue::Fired fired;
-  while (queue_.pop_due(horizon, fired)) {
+  // Both queues are final classes held by this object, so either pop is a
+  // direct call; a run switches at most once, so the branch predicts well.
+  while (wheel_ ? wheel_->pop_due(horizon, fired)
+                : heap_.pop_due(horizon, fired)) {
     now_ = fired.time;
     ++dispatched_;
     fired.callback();

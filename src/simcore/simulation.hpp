@@ -4,13 +4,17 @@
 // callbacks at absolute or relative times; run_until() advances the clock to
 // each event in order. The engine is single-threaded by design: determinism
 // matters more than parallel event dispatch *within* a run — experiments
-// parallelise across runs (seeds) instead. What changed with fleet scale is
-// the event rate a single run must sustain: a 30-day single-service run is
-// ~10^4 events, but one simulation carrying a 100k-1M-service fleet pushes
-// 10^8-10^9 periodic hour-tick/poll events through this loop, which is why
-// the queue behind it is a hierarchical timing wheel (O(1) per event; see
-// simcore/timing_wheel.hpp), held by value so dispatch makes no virtual
-// queue call.
+// parallelise across runs (seeds) instead. Runs come in two sizes. A
+// 30-day single-service run dispatches ~10^4 events from a queue that holds
+// a handful, and the paper's evaluation is thousands of them; one
+// simulation carrying a 100k-1M-service fleet pushes 10^8-10^9 periodic
+// hour-tick/poll events through this loop from a queue that holds millions.
+// So every run starts on a binary heap (simcore/binary_heap_queue.hpp) and,
+// the first time its live events exceed kHeapMaxPending, hands the heap's
+// arena to a hierarchical timing wheel (O(1) per event; see
+// simcore/timing_wheel.hpp) for good. Ids, handles and FIFO order carry
+// across the switch. Both queues are held as their final types, so
+// dispatch makes no virtual queue call.
 //
 // run_until() is the one serial dispatch loop: live::WallClock paces a
 // Simulation it owns (sleeping on next_time(), then calling run_until() with
@@ -26,9 +30,12 @@
 // header out of sched/virt/cloud.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 
+#include "simcore/binary_heap_queue.hpp"
 #include "simcore/clock.hpp"
 #include "simcore/engine.hpp"
 #include "simcore/time.hpp"
@@ -38,6 +45,18 @@ namespace spothost::sim {
 
 class Simulation final : public Engine {
  public:
+  /// Live events above which a run leaves the binary heap for the timing
+  /// wheel, for good. Measured on a 4-vCPU VM (GCC 12.2, Release), three
+  /// runs each. BM_QueueHold (bench/bench_perf_engine.cpp), ns per event,
+  /// heap vs wheel: price-step-like delays 36-64 vs 56-68 at 4-8 pending,
+  /// 75-103 vs 68-91 at 128, 113-157 vs 60-94 at 1,024; hour-tick-like
+  /// delays 21-41 vs 48-70 at 4-16, 73-95 vs 56-68 at 128. With the queue
+  /// hot in cache the wheel already wins from about 32. A whole storm
+  /// fleet-month, with the library built once on each queue alone, moves
+  /// the crossover up: the heap is 15-25 % cheaper per event at 9-40
+  /// pending, and the two are even (within 5 %) from 136 to 2,056.
+  static constexpr std::size_t kHeapMaxPending = 128;
+
   Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
@@ -53,7 +72,9 @@ class Simulation final : public Engine {
 
   /// Cancels a pending event; returns false if it already fired. Prefer
   /// EventHandle::cancel() in policy code.
-  bool cancel(EventId id) override { return queue_.cancel(id); }
+  bool cancel(EventId id) override {
+    return wheel_ ? wheel_->cancel(id) : heap_.cancel(id);
+  }
 
   /// Runs events until the queue is empty or the clock would pass `horizon`.
   /// The clock is left at min(horizon, last event time); events scheduled at
@@ -66,14 +87,19 @@ class Simulation final : public Engine {
   }
 
   /// Pending live events.
-  [[nodiscard]] std::size_t pending() const override { return queue_.size(); }
+  [[nodiscard]] std::size_t pending() const override {
+    return wheel_ ? wheel_->size() : heap_.size();
+  }
 
   /// Time of the earliest pending event; nullopt when idle. What a pacing
   /// engine (live::WallClock) sleeps on between run_until() calls.
   [[nodiscard]] std::optional<SimTime> next_time() const {
-    if (queue_.empty()) return std::nullopt;
-    return queue_.next_time();
+    if (pending() == 0) return std::nullopt;
+    return wheel_ ? wheel_->next_time() : heap_.next_time();
   }
+
+  /// True once the run has moved its events to the timing wheel (test hook).
+  [[nodiscard]] bool on_wheel() const noexcept { return wheel_ != nullptr; }
 
   /// Attaches the run's trace dispatcher (not owned; nullptr disables).
   /// Components that hold a Clock& read the tracer from here, so one attach
@@ -95,8 +121,15 @@ class Simulation final : public Engine {
   }
 
  private:
+  // Files an event on the current queue, switching to the wheel when the
+  // heap outgrows kHeapMaxPending.
+  EventId schedule(SimTime when, Callback&& cb);
+
   SimTime now_ = 0;
-  TimingWheelQueue queue_;
+  // The queue of a small run. Empty once wheel_ exists.
+  BinaryHeapQueue heap_;
+  // Built at the switch, from heap_'s arena; null until then.
+  std::unique_ptr<TimingWheelQueue> wheel_;
   std::uint64_t dispatched_ = 0;
   obs::Tracer* tracer_ = nullptr;
   faults::FaultInjector* fault_injector_ = nullptr;

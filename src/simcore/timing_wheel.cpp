@@ -54,25 +54,39 @@ void TimingWheelQueue::file(const Entry& entry) {
   occupied_[static_cast<std::size_t>(level)] |= std::uint64_t{1} << ws;
 }
 
+TimingWheelQueue::TimingWheelQueue(EventArena&& arena, SimTime now)
+    : arena_(std::move(arena)), cur_(now), floor_(now) {
+  arena_.for_each_live([this](std::uint32_t slot) {
+    assert(arena_.when(slot) >= cur_);
+    enqueue(slot);
+  });
+}
+
+void TimingWheelQueue::enqueue(std::uint32_t slot) {
+  const SimTime when = arena_.when(slot);
+  const std::uint64_t seq = arena_.seq(slot);
+  const EventId id = arena_.id_at(slot);
+  if (when < cur_) {
+    // The frontier has run past this time (a peek advanced the wheel); the
+    // event is still valid — park it in the holding area, merged at pop.
+    pre_.emplace(std::make_pair(when, seq), id);
+    arena_.loc(slot) = kLocPre;
+  } else if (past_window(when, cur_)) {
+    overflow_.emplace(std::make_pair(when, seq), id);
+    arena_.loc(slot) = kLocOverflow;
+  } else {
+    file(Entry{when, seq, id});
+    arena_.loc(slot) = kLocWheel;
+  }
+}
+
 EventId TimingWheelQueue::schedule(SimTime when, Callback&& cb) {
   if (when < floor_) {
     throw std::invalid_argument(
         "TimingWheelQueue::schedule: time precedes the latest pop");
   }
   const EventArena::Alloc alloc = arena_.allocate(when, std::move(cb));
-  const std::uint64_t seq = arena_.seq(alloc.slot);
-  if (when < cur_) {
-    // The frontier has run past this time (a peek advanced the wheel); the
-    // event is still valid — park it in the holding area, merged at pop.
-    pre_.emplace(std::make_pair(when, seq), alloc.id);
-    arena_.loc(alloc.slot) = kLocPre;
-  } else if (past_window(when, cur_)) {
-    overflow_.emplace(std::make_pair(when, seq), alloc.id);
-    arena_.loc(alloc.slot) = kLocOverflow;
-  } else {
-    file(Entry{when, seq, alloc.id});
-    arena_.loc(alloc.slot) = kLocWheel;
-  }
+  enqueue(alloc.slot);
   return alloc.id;
 }
 

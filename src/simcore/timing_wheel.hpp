@@ -1,4 +1,6 @@
-// Hierarchical timing wheel: the production EventQueue.
+// Hierarchical timing wheel: the EventQueue a Simulation moves to once its
+// live events outgrow the binary heap it starts on (simulation.hpp). The
+// constructor that takes an EventArena performs that hand-over.
 //
 // Layout: 6 levels x 64 slots. Level 0 slots are exactly one millisecond
 // wide; each level above covers 64x the span of the one below, so the wheel
@@ -21,8 +23,8 @@
 // of once per level it would otherwise step down through. When a
 // millisecond is due, all its events sit in one level-0 bucket, which is
 // sorted by global schedule sequence and drained where it lies — restoring
-// exact (time, FIFO) order, the determinism contract the test-only heap
-// oracle checks it against (see event_queue.hpp). A callback that schedules
+// exact (time, FIFO) order, the determinism contract the heap oracle checks
+// it against (see event_queue.hpp). A callback that schedules
 // at its own millisecond appends to that same bucket; its sequence is the
 // largest yet, so the batch stays sorted and the new event fires after the
 // rest of it.
@@ -74,6 +76,14 @@ class TimingWheelQueue final : public EventQueue {
 
   TimingWheelQueue() = default;
 
+  /// Takes over another backend's pending events (BinaryHeapQueue::
+  /// take_arena()) with the wheel's clock at `now`, which must not exceed
+  /// any live event's time: each is filed relative to `now`, those past the
+  /// window into the overflow bucket. Ids issued by the previous backend stay
+  /// valid, and its sequence counter carries on, so FIFO order spans the
+  /// hand-over.
+  TimingWheelQueue(EventArena&& arena, SimTime now);
+
   EventId schedule(SimTime when, Callback&& cb) override;
   bool cancel(EventId id) override;
   [[nodiscard]] bool empty() const override { return arena_.live() == 0; }
@@ -119,6 +129,9 @@ class TimingWheelQueue final : public EventQueue {
 
   // Files an entry into the bucket for its time relative to cur_.
   void file(const Entry& entry);
+  // Files a live arena slot where its time belongs: the holding area, the
+  // overflow bucket or the wheel.
+  void enqueue(std::uint32_t slot);
   // Empties a consumed buffer, releasing its memory when the capacity is
   // burst-sized (see kMaxIdleCapacity in the .cpp).
   static void shed(std::vector<Entry>& v);

@@ -25,6 +25,13 @@ bool parse_field(const std::string& field, T& out) {
   return ec == std::errc{} && p == end;
 }
 
+/// The feed's time grammar: ASCII digits spanning `field` that fit an int64.
+/// Integer from_chars alone would also take a leading '-'.
+bool parse_time(const std::string& field, sim::SimTime& out) {
+  return !field.empty() && field.front() >= '0' && field.front() <= '9' &&
+         parse_field(field, out);
+}
+
 }  // namespace
 
 void save_csv(const PriceTrace& trace, std::ostream& out) {
@@ -66,7 +73,7 @@ PriceTrace load_csv(std::istream& in) {
     const std::string rhs = line.substr(comma + 1);
     if (lhs == "end") {
       sim::SimTime end = 0;
-      if (!parse_field(rhs, end)) fail(line_no, "bad end timestamp: " + rhs);
+      if (!parse_time(rhs, end)) fail(line_no, "bad end timestamp: " + rhs);
       try {
         trace.set_end(end);
       } catch (const std::invalid_argument& e) {
@@ -77,7 +84,7 @@ PriceTrace load_csv(std::istream& in) {
     }
     if (saw_end) fail(line_no, "data after end marker");
     sim::SimTime t = 0;
-    if (!parse_field(lhs, t)) fail(line_no, "bad timestamp: " + lhs);
+    if (!parse_time(lhs, t)) fail(line_no, "bad timestamp: " + lhs);
     double price = 0.0;
     if (!parse_field(rhs, price)) fail(line_no, "bad price: " + rhs);
     try {

@@ -16,8 +16,10 @@ namespace spothost::trace {
 void save_csv(const PriceTrace& trace, std::ostream& out);
 void save_csv_file(const PriceTrace& trace, const std::string& path);
 
-/// Throws std::runtime_error with a line number on malformed input. Lines
-/// may end in CRLF: one trailing '\r' per line is ignored.
+/// Throws std::runtime_error with a line number on malformed input. Fields
+/// follow the serve feed's grammar: times are unsigned ASCII digits, prices
+/// one positive finite number. Lines may end in CRLF: one trailing '\r' per
+/// line is ignored.
 PriceTrace load_csv(std::istream& in);
 PriceTrace load_csv_file(const std::string& path);
 

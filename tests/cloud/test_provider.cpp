@@ -201,8 +201,9 @@ TEST_F(ProviderTest, UnknownInstanceThrows) {
 }
 
 // A caller may hold an Instance& across calls that add more instances
-// (the migration engine passes a destination's market into adopt, which can
-// request a server), so adding one must never move an existing instance.
+// (a scheduler's migration passes a destination's market into adopt, which
+// can request a server), so adding one must never move an existing
+// instance.
 TEST_F(ProviderTest, InstanceAddressIsStableAsInstancesAreAdded) {
   const InstanceId first = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
   const Instance* address = &provider_.instance(first);

@@ -10,7 +10,9 @@
 // JSONL trace plus the rendered fleet-metrics table, so any change to
 // multi-listener fan-out shows up as a hash or digit mismatch. A third pins
 // a ten-service fleet with every fault kind armed, so the fields of the
-// fault, retry and degradation events are pinned too.
+// fault, retry and degradation events are pinned too. A fourth pins the
+// metrics of a 2,000-service storm month, the one run here large enough to
+// leave the engine's binary heap for its timing wheel.
 //
 // If a test fails after an INTENTIONAL behaviour change, re-capture: hash
 // the bytes the embedded scenario produces and update the constants
@@ -197,6 +199,54 @@ TEST(FleetGolden, FaultedFleetRunIsByteIdentical) {
   }
   EXPECT_GE(counts.count(obs::EventKind::kRetryScheduled), 1u);
   EXPECT_GE(counts.count(obs::EventKind::kDegradedMode), 1u);
+}
+
+// perfbench's fleet_storm spec at 2,000 services: the us-east markets and
+// homes, every fault kind at rate 0.05, one 30-day month. Its start() puts
+// 2,008 events in flight, more than a Simulation keeps on its binary heap
+// (kHeapMaxPending), so the month runs on the timing wheel: this pins that
+// path end to end, where the goldens above run on the heap. Captured before
+// a Simulation started on the heap, when every run was on the wheel.
+TEST(FleetGolden, StormMonthAboveTheHeapLimitMatchesItsPin) {
+  sched::Scenario scenario;
+  scenario.seed = metrics::run_seed(20150615, 0);
+  scenario.horizon = 30 * sim::kDay;
+  scenario.regions = {"us-east-1a", "us-east-1b"};
+  for (const faults::FaultKind kind : faults::kAllFaultKinds) {
+    scenario.fault_plan.with_rate(kind, 0.05);
+  }
+  sched::FleetConfig cfg;
+  cfg.num_services = 2000;
+  cfg.home_markets = {{"us-east-1a", cloud::InstanceSize::kSmall},
+                      {"us-east-1b", cloud::InstanceSize::kSmall},
+                      {"us-east-1a", cloud::InstanceSize::kLarge},
+                      {"us-east-1b", cloud::InstanceSize::kXLarge}};
+  cfg.service_template = sched::proactive_config(cfg.home_markets.front());
+
+  sched::World world(scenario);
+  sched::FleetScheduler fleet(world.clock(), world.provider(), cfg, world.rng());
+  fleet.start();
+  EXPECT_EQ(world.engine().pending(), 2008u);
+  world.engine().run_until(world.horizon());
+  world.provider().finalize(world.horizon());
+  fleet.finalize(world.horizon());
+
+  EXPECT_EQ(world.engine().dispatched(), 100983u);
+  EXPECT_EQ(world.provider().ledger().records().size(), 21088u);
+  // 17 significant digits: each literal reads back as the exact double.
+  const sched::FleetMetrics m = fleet.metrics(world.horizon());
+  EXPECT_EQ(m.services, 2000);
+  EXPECT_EQ(m.total_cost, 62029.481844432245);
+  EXPECT_EQ(m.attributed_cost, 62029.481844432245);
+  EXPECT_EQ(m.baseline_od_cost, 302400.00000000309);
+  EXPECT_EQ(m.normalized_cost_pct, 20.512394789825269);
+  EXPECT_EQ(m.mean_unavailability_pct, 0.0049939017939532367);
+  EXPECT_EQ(m.worst_unavailability_pct, 0.032910374541212754);
+  EXPECT_EQ(m.any_down_pct, 0.94465015432098765);
+  EXPECT_EQ(m.max_concurrent_down, 500);
+  EXPECT_EQ(m.total_forced, 4311);
+  EXPECT_EQ(m.total_planned, 5186);
+  EXPECT_EQ(m.total_reverse, 9591);
 }
 
 std::vector<int> stats_fields(const sched::SchedulerStats& s) {

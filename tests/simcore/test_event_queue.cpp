@@ -1,7 +1,8 @@
 // EventQueue contract tests, run through the interface against both
-// implementations — the production timing wheel and the binary-heap oracle
-// (binary_heap_queue.hpp) — plus heap-only compaction tests (compaction is
-// a lazy-cancel implementation detail the timing wheel does not have).
+// implementations — the timing wheel and the binary heap
+// (simcore/binary_heap_queue.hpp), the two queues a Simulation runs on —
+// plus heap-only compaction tests (compaction is a lazy-cancel
+// implementation detail the timing wheel does not have).
 #include "simcore/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "binary_heap_queue.hpp"
+#include "simcore/binary_heap_queue.hpp"
 #include "simcore/timing_wheel.hpp"
 
 namespace spothost::sim {

@@ -146,5 +146,48 @@ TEST(Simulation, SameTickCancelOfAlreadyFiredEventFails) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Simulation, MovesToTheWheelPastTheHeapLimitKeepingEveryHandle) {
+  Simulation s;
+  std::vector<int> order;
+  std::vector<EventHandle> handles;
+  // Pops first, so the switch inherits recycled slots and a moved-on
+  // sequence counter.
+  s.at(1, [] {});
+  s.run_until(5);
+  const auto schedule = [&](SimTime when, int tag) {
+    handles.push_back(s.at(when, [&order, tag] { order.push_back(tag); }));
+  };
+  for (int i = 0; i < static_cast<int>(Simulation::kHeapMaxPending); ++i) {
+    schedule(5 + i % 3, i);  // three FIFO groups at equal times
+  }
+  EXPECT_FALSE(s.on_wheel());
+  schedule(5 + TimingWheelQueue::kSpanMs, -1);  // past the wheel's window
+  EXPECT_TRUE(s.on_wheel());
+  EXPECT_EQ(s.pending(), Simulation::kHeapMaxPending + 1);
+  schedule(6, -2);  // on the wheel: after every handed-over event at 6
+
+  // Handles issued on the heap still cancel their events on the wheel.
+  EXPECT_TRUE(handles[0].cancel());
+  EXPECT_FALSE(handles[0].cancel());
+  EXPECT_EQ(s.next_time(), SimTime{5});
+  s.run();
+  EXPECT_FALSE(s.next_time().has_value());
+
+  std::vector<int> want;
+  for (int group = 0; group < 3; ++group) {
+    for (int i = group; i < static_cast<int>(Simulation::kHeapMaxPending); i += 3) {
+      if (i != 0) want.push_back(i);
+    }
+    if (group == 1) want.push_back(-2);
+  }
+  want.push_back(-1);
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(s.now(), 5 + TimingWheelQueue::kSpanMs);
+}
+
+// FleetGolden.StormMonthAboveTheHeapLimitMatchesItsPin pins the wheel path
+// with a fleet that has 2,008 events in flight after start().
+static_assert(Simulation::kHeapMaxPending < 2008);
+
 }  // namespace
 }  // namespace spothost::sim

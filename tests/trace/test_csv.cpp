@@ -180,6 +180,34 @@ TEST(Csv, PriceGrammarMatchesTheFeed) {
   }
 }
 
+TEST(Csv, TimeGrammarMatchesTheFeed) {
+  // The time and end columns take what FileTailFeed takes: ASCII digits
+  // only. Integer from_chars alone would also take a leading '-'.
+  struct Case {
+    const char* rows;
+    bool accepted;
+  };
+  const Case cases[] = {
+      {"0,0.5\n", true},
+      {"5,0.5\nend,10\n", true},
+      {"-5,0.5\n", false},
+      {"-0,0.5\n", false},
+      {"0,0.5\nend,-0\n", false},
+      {"+5,0.5\n", false},
+      {" 5,0.5\n", false},
+      {"0,0.5\nend,+10\n", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.rows);
+    std::stringstream ss(std::string("time_ms,price_per_hour\n") + c.rows);
+    if (c.accepted) {
+      EXPECT_NO_THROW((void)load_csv(ss));
+    } else {
+      EXPECT_THROW((void)load_csv(ss), std::runtime_error);
+    }
+  }
+}
+
 TEST(Csv, FileRoundTrip) {
   const auto original = make_trace();
   const std::string path = ::testing::TempDir() + "/spothost_trace_test.csv";
