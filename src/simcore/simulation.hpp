@@ -51,10 +51,16 @@ class Simulation final : public Engine {
   /// heap vs wheel: price-step-like delays 36-64 vs 56-68 at 4-8 pending,
   /// 75-103 vs 68-91 at 128, 113-157 vs 60-94 at 1,024; hour-tick-like
   /// delays 21-41 vs 48-70 at 4-16, 73-95 vs 56-68 at 128. With the queue
-  /// hot in cache the wheel already wins from about 32. A whole storm
-  /// fleet-month, with the library built once on each queue alone, moves
-  /// the crossover up: the heap is 15-25 % cheaper per event at 9-40
-  /// pending, and the two are even (within 5 %) from 136 to 2,056.
+  /// hot in cache the wheel already wins from about 32. Whole storm
+  /// fleet-months moved the crossover up: the heap was 15-25 % cheaper per
+  /// event at 9-40 pending, and the two were even (within 5 %) from 136 to
+  /// 2,056, with nothing measured in between. Those numbers come from a
+  /// throwaway driver that is not in the repository, over the library built
+  /// once with this constant at 0 and once at 2^40. No perfbench workload
+  /// holds between about 44 and 2,000 pending (a sweep cell at most 12,
+  /// serve_tail at most 44, fleet_storm switches in start()), so nothing
+  /// measured end to end tells 32, 128 and 1,024 apart: 128 is a choice
+  /// inside that gap, not a measured optimum.
   static constexpr std::size_t kHeapMaxPending = 128;
 
   Simulation() = default;

@@ -60,6 +60,16 @@ TimingWheelQueue::TimingWheelQueue(EventArena&& arena, SimTime now)
     assert(arena_.when(slot) >= cur_);
     enqueue(slot);
   });
+  // Slots are visited in slot order, which recycling makes differ from
+  // sequence order. Every other bucket is sorted when it comes due, but
+  // cur_'s is already the batch that ready() drains: sort it here.
+  sort_batch();
+}
+
+void TimingWheelQueue::sort_batch() {
+  std::vector<Entry>& current = batch();
+  std::sort(current.begin(), current.end(),
+            [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
 }
 
 void TimingWheelQueue::enqueue(std::uint32_t slot) {
@@ -125,9 +135,7 @@ void TimingWheelQueue::advance_and_drain() {
         // stays set until ready() has consumed it. Bucket order mixes
         // direct schedules with cascade arrivals; sort by global sequence
         // to restore exact FIFO among this millisecond.
-        std::vector<Entry>& current = batch();
-        std::sort(current.begin(), current.end(),
-                  [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
+        sort_batch();
         return;
       }
     }

@@ -81,7 +81,7 @@ class TimingWheelQueue final : public EventQueue {
   /// any live event's time: each is filed relative to `now`, those past the
   /// window into the overflow bucket. Ids issued by the previous backend stay
   /// valid, and its sequence counter carries on, so FIFO order spans the
-  /// hand-over.
+  /// hand-over; the events at `now` itself are sorted by sequence here.
   TimingWheelQueue(EventArena&& arena, SimTime now);
 
   EventId schedule(SimTime when, Callback&& cb) override;
@@ -147,6 +147,8 @@ class TimingWheelQueue final : public EventQueue {
     return buckets_[0][static_cast<std::size_t>(
         static_cast<std::uint64_t>(cur_) & (kSlots - 1))];
   }
+  // Sorts batch() by schedule sequence, the order its millisecond fires in.
+  void sort_batch();
   // Returns the arena slot of the earliest live wheel event, leaving its
   // record at batch()[drain_pos_]. Same precondition as advance_and_drain.
   [[nodiscard]] std::uint32_t ready();

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "simcore/binary_heap_queue.hpp"
+#include "simcore/event_arena.hpp"
 #include "simcore/event_queue.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
@@ -199,6 +200,10 @@ class SimulationPair {
   [[nodiscard]] int ids() const { return 4 * static_cast<int>(spawns_.size()); }
   // The time script event `n` (0-based, in schedule order) was scheduled at.
   [[nodiscard]] SimTime script_time(std::size_t n) const { return times_[n]; }
+  // The arena slot of logical id `id` on the Simulation's side.
+  [[nodiscard]] std::uint32_t slot(int id) const {
+    return EventArena::slot_of(handles_[static_cast<std::size_t>(id)].id());
+  }
   [[nodiscard]] std::size_t fired_count() const { return sim_fired_.size(); }
   [[nodiscard]] bool switched_in_run() const { return switched_in_run_; }
   [[nodiscard]] int pre_switch_cancels() const { return pre_switch_cancels_; }
@@ -308,16 +313,30 @@ TEST_P(SimulationDifferential, MatchesTheHeapThroughTheSwitch) {
   ASSERT_FALSE(pair.on_wheel());
   ASSERT_GT(pair.fired_count(), 0u);
 
-  // Fill to the limit with events after now, the last one a spawner at now:
-  // running to now fires it first, and its two children tip the heap over
-  // the limit from inside run_until.
+  // Fill to the limit with events after now, then a spawner at now and one
+  // more event at now: running to now fires the spawner first, and its two
+  // children tip the heap over the limit from inside run_until.
   pair.run_until(pair.now() + 1);
-  while (pair.pending() + 1 < Simulation::kHeapMaxPending) {
+  while (pair.pending() + 2 < Simulation::kHeapMaxPending) {
     pair.schedule(pair.now() + 1 +
                       static_cast<SimTime>(splitmix64(state) % (10 * kDay)),
                   false);
   }
+  // Freed slots are reused last-in-first-out. Freeing two slots, the higher
+  // first, hands the spawner the lower one and the event after it the
+  // higher. The spawner's first child reuses the spawner's slot, so the
+  // switch inherits two events at now whose slot order is the reverse of
+  // their schedule order.
+  const int first = pair.ids();
+  pair.schedule(pair.now() + kDay, false);
+  pair.schedule(pair.now() + kDay, false);
+  const bool first_higher = pair.slot(first) > pair.slot(first + 4);
+  pair.cancel(first_higher ? first : first + 4);
+  pair.cancel(first_higher ? first + 4 : first);
+  const int spawner = pair.ids();
   pair.schedule(pair.now(), true);
+  pair.schedule(pair.now(), false);
+  ASSERT_LT(pair.slot(spawner), pair.slot(spawner + 4));
   ASSERT_EQ(pair.pending(), Simulation::kHeapMaxPending);
   ASSERT_FALSE(pair.on_wheel());
   pair.run_until(pair.now());

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "simcore/event_arena.hpp"
+
 namespace spothost::sim {
 namespace {
 
@@ -151,15 +153,21 @@ TEST(Simulation, MovesToTheWheelPastTheHeapLimitKeepingEveryHandle) {
   std::vector<int> order;
   std::vector<EventHandle> handles;
   // Pops first, so the switch inherits recycled slots and a moved-on
-  // sequence counter.
+  // sequence counter. Freed slots are reused last-in-first-out, so events 0
+  // and 1 below, both at the switch millisecond, take slots 1 and 0: their
+  // slot order is the reverse of their schedule order.
+  s.at(1, [] {});
   s.at(1, [] {});
   s.run_until(5);
   const auto schedule = [&](SimTime when, int tag) {
     handles.push_back(s.at(when, [&order, tag] { order.push_back(tag); }));
   };
-  for (int i = 0; i < static_cast<int>(Simulation::kHeapMaxPending); ++i) {
-    schedule(5 + i % 3, i);  // three FIFO groups at equal times
+  const int n = static_cast<int>(Simulation::kHeapMaxPending);
+  for (int i = 0; i < n; ++i) {
+    schedule(5 + (i / 2) % 3, i);  // three FIFO groups at equal times
   }
+  EXPECT_GT(EventArena::slot_of(handles[0].id()),
+            EventArena::slot_of(handles[1].id()));
   EXPECT_FALSE(s.on_wheel());
   schedule(5 + TimingWheelQueue::kSpanMs, -1);  // past the wheel's window
   EXPECT_TRUE(s.on_wheel());
@@ -167,16 +175,16 @@ TEST(Simulation, MovesToTheWheelPastTheHeapLimitKeepingEveryHandle) {
   schedule(6, -2);  // on the wheel: after every handed-over event at 6
 
   // Handles issued on the heap still cancel their events on the wheel.
-  EXPECT_TRUE(handles[0].cancel());
-  EXPECT_FALSE(handles[0].cancel());
+  EXPECT_TRUE(handles[2].cancel());
+  EXPECT_FALSE(handles[2].cancel());
   EXPECT_EQ(s.next_time(), SimTime{5});
   s.run();
   EXPECT_FALSE(s.next_time().has_value());
 
   std::vector<int> want;
   for (int group = 0; group < 3; ++group) {
-    for (int i = group; i < static_cast<int>(Simulation::kHeapMaxPending); i += 3) {
-      if (i != 0) want.push_back(i);
+    for (int i = 0; i < n; ++i) {
+      if ((i / 2) % 3 == group && i != 2) want.push_back(i);
     }
     if (group == 1) want.push_back(-2);
   }
